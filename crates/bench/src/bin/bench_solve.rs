@@ -80,11 +80,12 @@ fn main() {
 
             // Cold baseline: drain both pools before every call so each
             // solve re-allocates everything, as the pre-workspace code
-            // did (outputs included — `solve_replay` allocates them).
+            // did (outputs included — the copy of `y_local` handed to
+            // `solve_replay` is solved in place and returned).
             let cold_solve_s = time_collective(comm, reps, |comm| {
                 factors.reset_workspace();
                 panel_pool_drain();
-                let x = factors.solve_replay(comm, &y_local);
+                let x = factors.solve_replay(comm, y_local.clone());
                 assert_eq!(x.len(), y_local.len());
             });
 

@@ -36,7 +36,7 @@ fn main() {
             let y_local: Vec<Mat> = (sys.lo..sys.hi)
                 .map(|i| rhs_panel(m, r, batch, i))
                 .collect();
-            let _ = factors.solve_replay(comm, &y_local);
+            let _ = factors.solve_replay(comm, y_local);
         }
     });
 

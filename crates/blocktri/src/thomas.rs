@@ -8,7 +8,7 @@
 //! * [`ThomasFactors::solve`] — `O(N M^2 R)` per `R`-column panel.
 
 use crate::matrix::{BlockTridiag, BlockVec};
-use bt_dense::{gemm, LuFactors, Mat, SingularError, Trans};
+use bt_dense::{gemm, invert, Mat, SingularError, Trans};
 use std::fmt;
 
 /// Error from factoring a block tridiagonal matrix: a pivot block `D_i`
@@ -39,16 +39,20 @@ impl std::error::Error for FactorError {
 
 /// Block LU factorization `T = L U` (no inter-block pivoting):
 /// `D_0 = B_0`, `D_i = B_i - L_i C_{i-1}` with `L_i = A_i D_{i-1}^{-1}`.
+///
+/// Each `D_i` is factored once and stored as its explicit inverse, so
+/// every solve runs on GEMMs alone: the stored factors are `L_i`,
+/// `D_i^{-1}` and `U_i = D_i^{-1} C_i`.
 #[derive(Debug, Clone)]
 pub struct ThomasFactors {
     n: usize,
     m: usize,
-    /// LU of each block diagonal `D_i`.
-    d_lu: Vec<LuFactors>,
+    /// `D_i^{-1}` for each block row.
+    d_inv: Vec<Mat>,
     /// `L_i = A_i D_{i-1}^{-1}` for `i >= 1` (index 0 unused, zero-sized).
     l: Vec<Mat>,
-    /// Copies of the superdiagonal blocks for back substitution.
-    c: Vec<Mat>,
+    /// `U_i = D_i^{-1} C_i`, the back-substitution coupling.
+    u: Vec<Mat>,
 }
 
 impl ThomasFactors {
@@ -58,29 +62,40 @@ impl ThomasFactors {
     pub fn factor(t: &BlockTridiag) -> Result<Self, FactorError> {
         let n = t.n();
         let m = t.m();
-        let mut d_lu: Vec<LuFactors> = Vec::with_capacity(n);
+        let mut d_inv: Vec<Mat> = Vec::with_capacity(n);
         let mut l: Vec<Mat> = Vec::with_capacity(n);
-        let mut c: Vec<Mat> = Vec::with_capacity(n);
+        let mut u: Vec<Mat> = Vec::with_capacity(n);
 
         for i in 0..n {
             let row = t.row(i);
-            c.push(row.c.clone());
             let d = if i == 0 {
                 l.push(Mat::empty());
                 row.b.clone()
             } else {
-                // L_i solves L_i * D_{i-1} = A_i  (right division).
-                let li = d_lu[i - 1].solve_transposed_system(&row.a);
-                // D_i = B_i - L_i C_{i-1}
+                // L_i = A_i D_{i-1}^{-1};
+                // D_i = B_i - A_i D_{i-1}^{-1} C_{i-1} = B_i - A_i U_{i-1}.
+                let mut li = Mat::zeros(m, m);
+                gemm(
+                    1.0,
+                    &row.a,
+                    Trans::No,
+                    &d_inv[i - 1],
+                    Trans::No,
+                    0.0,
+                    &mut li,
+                );
                 let mut d = row.b.clone();
-                gemm(-1.0, &li, Trans::No, &c[i - 1], Trans::No, 1.0, &mut d);
+                gemm(-1.0, &row.a, Trans::No, &u[i - 1], Trans::No, 1.0, &mut d);
                 l.push(li);
                 d
             };
-            let lu = LuFactors::factor(&d).map_err(|source| FactorError { row: i, source })?;
-            d_lu.push(lu);
+            let inv = invert(&d).map_err(|source| FactorError { row: i, source })?;
+            let mut ui = Mat::zeros(m, m);
+            gemm(1.0, &inv, Trans::No, &row.c, Trans::No, 0.0, &mut ui);
+            d_inv.push(inv);
+            u.push(ui);
         }
-        Ok(Self { n, m, d_lu, l, c })
+        Ok(Self { n, m, d_inv, l, u })
     }
 
     /// Number of block rows.
@@ -93,12 +108,6 @@ impl ThomasFactors {
         self.m
     }
 
-    /// Access to the factored block diagonals (used by diagnostics and by
-    /// tests cross-checking the parallel solvers' Phase 1).
-    pub fn d_factor(&self, i: usize) -> &LuFactors {
-        &self.d_lu[i]
-    }
-
     /// Solves `T X = Y` for a panel of `R` right-hand sides.
     ///
     /// # Panics
@@ -107,43 +116,48 @@ impl ThomasFactors {
     pub fn solve(&self, y: &BlockVec) -> BlockVec {
         assert_eq!(y.n(), self.n, "rhs block count mismatch");
         assert_eq!(y.m(), self.m, "rhs block order mismatch");
-        let r = y.r();
 
-        // Forward sweep: z_i = y_i - L_i z_{i-1}.
-        let mut z: Vec<Mat> = Vec::with_capacity(self.n);
-        for i in 0..self.n {
-            let mut zi = y.blocks[i].clone();
-            if i > 0 {
-                gemm(
-                    -1.0,
-                    &self.l[i],
-                    Trans::No,
-                    &z[i - 1],
-                    Trans::No,
-                    1.0,
-                    &mut zi,
-                );
-            }
-            z.push(zi);
+        // Forward sweep over a copy of y: z_i = y_i - L_i z_{i-1}.
+        let mut x = y.clone();
+        for i in 1..self.n {
+            let (done, rest) = x.blocks.split_at_mut(i);
+            gemm(
+                -1.0,
+                &self.l[i],
+                Trans::No,
+                &done[i - 1],
+                Trans::No,
+                1.0,
+                &mut rest[0],
+            );
         }
 
-        // Backward sweep: x_i = D_i^{-1} (z_i - C_i x_{i+1}).
-        let mut x = BlockVec::zeros(self.n, self.m, r);
+        // Backward sweep: x_i = D_i^{-1} z_i - U_i x_{i+1}, through one
+        // scratch panel (a GEMM cannot overwrite its operand).
+        let mut z = Mat::zeros(self.m, y.r());
         for i in (0..self.n).rev() {
-            let mut rhs = z[i].clone();
-            if i + 1 < self.n {
+            std::mem::swap(&mut z, &mut x.blocks[i]);
+            let (head, tail) = x.blocks.split_at_mut(i + 1);
+            gemm(
+                1.0,
+                &self.d_inv[i],
+                Trans::No,
+                &z,
+                Trans::No,
+                0.0,
+                &mut head[i],
+            );
+            if let Some(next) = tail.first() {
                 gemm(
                     -1.0,
-                    &self.c[i],
+                    &self.u[i],
                     Trans::No,
-                    &x.blocks[i + 1],
+                    next,
                     Trans::No,
                     1.0,
-                    &mut rhs,
+                    &mut head[i],
                 );
             }
-            self.d_lu[i].solve_in_place(&mut rhs);
-            x.blocks[i] = rhs;
         }
         x
     }
@@ -155,15 +169,16 @@ pub fn thomas_solve(t: &BlockTridiag, y: &BlockVec) -> Result<BlockVec, FactorEr
 }
 
 /// Leading-order flop count of [`ThomasFactors::factor`]:
-/// per interior row, one `M x M` LU (2/3 M^3), one `M`-RHS triangular
-/// solve (2 M^3) and one GEMM (2 M^3).
+/// per interior row, one `M x M` LU (2/3 M^3), the `M`-RHS triangular
+/// solve that inverts it (2 M^3) and three GEMMs (`L_i`, the `D_i`
+/// update and `U_i`, 2 M^3 each).
 pub fn thomas_factor_flops(n: usize, m: usize) -> u64 {
     let (n, m) = (n as u64, m as u64);
-    n * (2 * m * m * m / 3 + 4 * m * m * m)
+    n * (2 * m * m * m / 3 + 8 * m * m * m)
 }
 
 /// Leading-order flop count of [`ThomasFactors::solve`] for `R` columns:
-/// per row, two `M x M * M x R` GEMMs and one factored solve.
+/// per row, three `M x M * M x R` GEMMs.
 pub fn thomas_solve_flops(n: usize, m: usize, r: usize) -> u64 {
     let (n, m, r) = (n as u64, m as u64, r as u64);
     n * (6 * m * m * r)

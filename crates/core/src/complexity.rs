@@ -57,17 +57,19 @@ const fn cube(m: usize) -> f64 {
 ///
 /// Leading terms per local row: companion `W_i` construction (LU + two
 /// solves, ~4.7M^3) + companion total update (8M^3) + Thomas pass
-/// (LU 2/3 M^3 + two triangular stages 2M^3 each + GEMM 2M^3) + `G`
-/// (2M^3) + two prefix products (2M^3 each). Per scan round: one
-/// companion compose (16M^3) + two affine matrix composes (2M^3 each).
+/// (LU 2/3 M^3 + the solve inverting it 2M^3 + `F_i` and `D_i` GEMMs
+/// 2M^3 each) + `G` GEMM (2M^3) + two prefix products (2M^3 each). Per
+/// scan round: one companion compose (16M^3) + two affine matrix
+/// composes (2M^3 each).
 pub fn setup_flops(c: &Config) -> f64 {
     let m = c.m;
     let per_row = (2.0 / 3.0 + 4.0) * cube(m) // building W_i (LU(C) + 2 solves)
         + 8.0 * cube(m)                  // companion total apply_left
         + (2.0 / 3.0) * cube(m)          // LU(D_i)
-        + 2.0 * cube(m)                  // F_i right division
+        + 2.0 * cube(m)                  // D_i^{-1} from the LU
+        + 2.0 * cube(m)                  // F_i GEMM
         + 2.0 * cube(m)                  // D_i update GEMM
-        + 2.0 * cube(m)                  // G_i solve
+        + 2.0 * cube(m)                  // G_i GEMM
         + 4.0 * cube(m); // two local prefix products
     let per_round = 16.0 * cube(m)       // companion compose
         + 2.0 * 2.0 * cube(m); // two affine matrix composes
@@ -75,7 +77,7 @@ pub fn setup_flops(c: &Config) -> f64 {
 }
 
 /// Flops of one accelerated solve (vector work only). Per local row:
-/// forward recurrence (2M^2 R) + forward fixup (2M^2 R) + `h` solve
+/// forward recurrence (2M^2 R) + forward fixup (2M^2 R) + `h` GEMM
 /// (2M^2 R) + backward recurrence (2M^2 R) + backward fixup (2M^2 R);
 /// per scan round: two panel combines (2M^2 R each).
 pub fn ard_solve_flops(c: &Config) -> f64 {

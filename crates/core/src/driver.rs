@@ -482,7 +482,7 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                     out.setup_vt = comm.virtual_time() - vt0;
                     out.factor_bytes = factors.storage_bytes();
                     out.boundary_condition = factors.boundary_condition();
-                    for (bi, y_local) in y_locals.iter().enumerate() {
+                    for (bi, y_local) in y_locals.into_iter().enumerate() {
                         let vt0 = comm.virtual_time();
                         let t0 = Instant::now();
                         let _span = bt_obs::span_with("solver", "solve_batch", || {

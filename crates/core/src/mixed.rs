@@ -258,21 +258,18 @@ fn solve_refined_f32<C: CommBackend>(
     let nl = y_local.len();
     let (m, r) = y_local[0].shape();
 
-    // Initial solve at f32.
-    let y32: Vec<Mat<f32>> = y_local.iter().map(|p| p.convert::<f32>()).collect();
-    let mut lo32: Vec<Mat<f32>> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-    factors.solve_replay_into(comm, &y32, &mut lo32);
+    // Initial solve at f32, in place on the converted right-hand side;
+    // `lo32` then carries each correction in place.
+    let mut lo32 = factors.solve_replay(comm, y_local.iter().map(|p| p.convert::<f32>()).collect());
     let mut x: Vec<Mat> = lo32.iter().map(|p| p.convert::<f64>()).collect();
 
     let y_norm2 = comm
         .allreduce(sq_norm(y_local), |a, b| a + b)
         .max(f64::MIN_POSITIVE);
 
-    // Reused sweep buffers: f64 residual/correction panels, their f32
-    // mirrors, and the halo panels. Warm sweeps allocate only inside
-    // the conversions' fixed buffers.
+    // Reused sweep buffers: f64 residual panels and the halo panels.
+    // Warm sweeps allocate only inside the conversions' fixed buffers.
     let mut res: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-    let mut res32: Vec<Mat<f32>> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
     let mut halo_l = Mat::zeros(m, r);
     let mut halo_r = Mat::zeros(m, r);
     let mut history = Vec::with_capacity(max_sweeps + 1);
@@ -307,10 +304,10 @@ fn solve_refined_f32<C: CommBackend>(
             format!("{{\"sweep\":{sweep},\"rel_residual\":{rel:e},\"precision\":\"f32\"}}")
         });
         // Correction at f32: dx = F^{-1} res.
-        for (dst, src) in res32.iter_mut().zip(&res) {
+        for (dst, src) in lo32.iter_mut().zip(&res) {
             src.convert_into(dst);
         }
-        factors.solve_replay_into(comm, &res32, &mut lo32);
+        lo32 = factors.solve_replay(comm, lo32);
         for (xk, dk) in x.iter_mut().zip(&lo32) {
             xk.add_assign_converted(dk);
         }

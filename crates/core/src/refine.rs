@@ -183,7 +183,7 @@ impl ArdRankFactors {
         max_sweeps: usize,
         tol: f64,
     ) -> RefinedSolve {
-        let mut x = self.solve_replay(comm, y_local);
+        let mut x = self.solve_replay(comm, y_local.to_vec());
         let y_norm2 = comm
             .allreduce(sq_norm(y_local), |a, b| a + b)
             .max(f64::MIN_POSITIVE);

@@ -494,9 +494,10 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         assert_eq!(y.n(), self.n, "rhs block count mismatch");
         assert_eq!(y.m(), self.m, "rhs block order mismatch");
 
-        // Pre-slice the right-hand side per rank (one copy, same as the
-        // per-rank clones the world used to make) so the job closure can
-        // be `'static` for a persistent world.
+        // Pre-slice the right-hand side per rank (the call's one copy of
+        // `y`) so the job closure can be `'static` for a persistent world.
+        // Each rank solves its slice in place and returns it as the
+        // solution.
         let y_slices: Arc<Vec<parking_lot::Mutex<Option<Vec<Mat>>>>> = Arc::new(
             (0..self.p)
                 .map(|rank| {
@@ -528,7 +529,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             let (x_local, history) = match &factors {
                 SessionFactors::Plain(f) => {
                     if max_sweeps == 0 {
-                        (f.solve_replay(comm, &y_local), Vec::new())
+                        (f.solve_replay(comm, y_local), Vec::new())
                     } else {
                         let refined = f.solve_replay_refined(comm, &sys, &y_local, max_sweeps, tol);
                         (refined.x_local, refined.history)
@@ -536,7 +537,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
                 }
                 SessionFactors::Toeplitz(f) => {
                     if max_sweeps == 0 {
-                        (f.solve_replay(comm, &y_local), Vec::new())
+                        (f.solve_replay(comm, y_local), Vec::new())
                     } else {
                         let refined = f.solve_replay_refined(comm, &sys, &y_local, max_sweeps, tol);
                         (refined.x_local, refined.history)
@@ -565,16 +566,15 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         let out = self.run_world(job);
         drop(lease); // factors restored; waiters wake
 
-        let mut x = BlockVec::zeros(self.n, self.m, y.r());
+        // Ranks own consecutive row ranges in rank order, and each solved
+        // its slice in place: the panels move into the result as they are.
+        let mut blocks = Vec::with_capacity(self.n);
         let mut history = Vec::new();
-        for (rank, (panels, h)) in out.results.into_iter().enumerate() {
-            let lo = self.part.range(rank).start;
-            for (k, panel) in panels.into_iter().enumerate() {
-                x.blocks[lo + k] = panel;
-            }
+        for (panels, h) in out.results {
+            blocks.extend(panels);
             history = h;
         }
-        Ok((x, history))
+        Ok((BlockVec::from_blocks(blocks), history))
     }
 
     /// Runs `job` on the persistent world when reuse is on (rebuilding a

@@ -55,7 +55,7 @@ impl RankSolver for ArdRankFactors {
     }
 
     fn solve<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
-        self.solve_replay(comm, y_local)
+        self.solve_replay(comm, y_local.to_vec())
     }
 
     fn storage_bytes(&self) -> u64 {

@@ -31,8 +31,9 @@ use crate::scans::{
     Direction, ScanTrace,
 };
 
-/// Tag bases for the point-to-point scans (each scan uses `base + step`).
-mod tags {
+/// Tag bases for the point-to-point scans (each scan uses `base + step`),
+/// shared with the Toeplitz path.
+pub(crate) mod tags {
     pub const PHASE1: u64 = 0;
     pub const FWD_SETUP: u64 = 64;
     pub const BWD_SETUP: u64 = 128;
@@ -167,8 +168,9 @@ pub struct ArdRankFactors<E: Element = f64> {
     pub lo: usize,
     /// One past the last owned global row.
     pub hi: usize,
-    /// LU of `D_i` for each owned row.
-    d_lu: Vec<LuFactors<E>>,
+    /// Explicit `D_i^{-1}` for each owned row, so every replay step —
+    /// the diagonal one included — is a GEMM.
+    d_inv: Vec<Mat<E>>,
     /// `F_i = -A_i D_{i-1}^{-1}` for each owned row (`F_0 = 0`).
     f: Vec<Mat<E>>,
     /// `G_i = -D_i^{-1} C_i` for each owned row (`G_{N-1} = 0`).
@@ -192,6 +194,33 @@ pub struct ArdRankFactors<E: Element = f64> {
     /// (see DESIGN.md "Memory model"). `RefCell` keeps the `&self` solve
     /// signatures; factors are owned by one rank thread, never shared.
     ws: RefCell<Workspace<E>>,
+}
+
+/// `D^{-1}` through one LU factorization, charging the factorization and
+/// the `M`-column solve that inverts it. `row` names the block row in the
+/// error. Storing the inverse instead of the LU turns every later use of
+/// `D` — the `F`/`G` setup products and each replay's diagonal step —
+/// into a GEMM.
+pub(crate) fn invert_block<C: CommBackend, E: Element>(
+    comm: &mut C,
+    d: &Mat<E>,
+    row: usize,
+) -> Result<Mat<E>, FactorError> {
+    let m = d.rows();
+    let lu = LuFactors::factor(d).map_err(|source| FactorError { row, source })?;
+    comm.compute(lu_flops(m));
+    let inv = lu.inverse();
+    comm.compute(lu_solve_flops(m, m));
+    Ok(inv)
+}
+
+/// `-(a b)` for square blocks, charging one GEMM.
+pub(crate) fn neg_mul<C: CommBackend, E: Element>(comm: &mut C, a: &Mat<E>, b: &Mat<E>) -> Mat<E> {
+    let m = a.rows();
+    let mut p = Mat::zeros(m, m);
+    gemm(-E::ONE, a, Trans::No, b, Trans::No, E::ZERO, &mut p);
+    comm.compute(gemm_flops(m, m, m));
+    p
 }
 
 impl<E: Element> ArdRankFactors<E> {
@@ -302,7 +331,7 @@ impl<E: Element> ArdRankFactors<E> {
                 },
             });
         }
-        let (d_lu, f, g, my_cond) = local.expect("checked above");
+        let (d_inv, f, g, my_cond) = local.expect("checked above");
         // Agree on the worst boundary-extraction conditioning: the suite's
         // self-diagnostic for the prefix method's accuracy envelope.
         let boundary_cond = comm.allreduce(
@@ -397,7 +426,7 @@ impl<E: Element> ArdRankFactors<E> {
             m,
             lo: sys.lo,
             hi: sys.hi,
-            d_lu,
+            d_inv,
             f,
             g,
             fwd_prefix,
@@ -424,8 +453,8 @@ impl<E: Element> ArdRankFactors<E> {
     }
 
     /// `(subnormal, total)` element counts over every stored factor
-    /// panel: LU diagonals, `F`/`G` chains, affine prefixes and the
-    /// recorded scan traces.
+    /// panel: diagonal inverses `D_i^{-1}`, `F`/`G` chains, affine
+    /// prefixes and the recorded scan traces.
     ///
     /// Subnormals are the footprint of gradual underflow: at `f32` the
     /// decaying prefix/trace entries of strongly dominant systems slide
@@ -441,10 +470,7 @@ impl<E: Element> ArdRankFactors<E> {
             total += s.len() as u64;
             sub += s.iter().filter(|v| v.is_subnormal()).count() as u64;
         };
-        for lu in &self.d_lu {
-            tally(lu.packed().as_slice());
-        }
-        for m in self.f.iter().chain(&self.g) {
+        for m in self.d_inv.iter().chain(&self.f).chain(&self.g) {
             tally(m.as_slice());
         }
         for m in self.fwd_prefix.iter().chain(&self.bwd_prefix) {
@@ -458,7 +484,7 @@ impl<E: Element> ArdRankFactors<E> {
 
     /// Phase 1c/1d: recover the boundary diagonal `D_{lo-1}` from the
     /// scanned companion product, then run the local Thomas-style pass.
-    /// Produces, per owned row, `LU(D_i)`, `F_i` and `G_i`, plus a
+    /// Produces, per owned row, `D_i^{-1}`, `F_i` and `G_i`, plus a
     /// conditioning estimate of the boundary extraction (1.0 where no
     /// extraction happened).
     #[allow(clippy::type_complexity)]
@@ -468,12 +494,11 @@ impl<E: Element> ArdRankFactors<E> {
         excl: Option<&CompanionProduct>,
         mode: BoundaryMode,
         ws: &mut Workspace,
-    ) -> Result<(Vec<LuFactors<E>>, Vec<Mat<E>>, Vec<Mat<E>>, f64), FactorError> {
+    ) -> Result<(Vec<Mat<E>>, Vec<Mat<E>>, Vec<Mat<E>>, f64), FactorError> {
         let m = sys.m;
         let nl = sys.local_len();
-        let mut d_lu: Vec<LuFactors<E>> = Vec::with_capacity(nl);
+        let mut d_inv: Vec<Mat<E>> = Vec::with_capacity(nl);
         let mut f: Vec<Mat<E>> = Vec::with_capacity(nl);
-        let mut g: Vec<Mat<E>> = Vec::with_capacity(nl);
         let mut boundary_cond = 1.0f64;
 
         // Rank 0 owns row 0: D_0 = B_0 directly, no companion needed.
@@ -514,36 +539,24 @@ impl<E: Element> ArdRankFactors<E> {
         // single rounding step of the mixed-precision factorization.
         let boundary_diag: Mat<E> = boundary_diag.convert::<E>();
 
-        // The LU used to form F for the first owned row.
-        let mut prev_lu: LuFactors<E>;
-        let start_k;
-        if sys.lo == 0 {
-            // boundary_diag IS D_0 = B_0.
-            let lu = LuFactors::factor(&boundary_diag)
-                .map_err(|source| FactorError { row: 0, source })?;
-            comm.compute(lu_flops(m));
-            d_lu.push(lu.clone());
+        // `D^{-1}` of the row before the first one the loop handles. On
+        // rank 0 the boundary diagonal IS D_0 = B_0; elsewhere it is
+        // D_{lo-1}, owned by the left neighbour, and only starts the
+        // recurrence.
+        let mut prev_inv = invert_block(comm, &boundary_diag, sys.lo.saturating_sub(1))?;
+        let start_k = if sys.lo == 0 {
+            d_inv.push(prev_inv.clone());
             f.push(Mat::zeros(m, m)); // F_0 = 0 (A_0 = 0)
-            prev_lu = lu;
-            start_k = 1;
+            1
         } else {
-            // boundary_diag is D_{lo-1}, owned by the left neighbour; we
-            // only need its LU to start the recurrence.
-            prev_lu = LuFactors::factor(&boundary_diag).map_err(|source| FactorError {
-                row: sys.lo - 1,
-                source,
-            })?;
-            comm.compute(lu_flops(m));
-            start_k = 0;
-        }
+            0
+        };
 
         for k in start_k..nl {
             let i = sys.lo + k;
             let row = &sys.rows[k];
-            // F_i = -A_i D_{i-1}^{-1}  (right division).
-            let mut f_i = prev_lu.solve_transposed_system(&row.a.convert::<E>());
-            f_i.negate();
-            comm.compute(lu_solve_flops(m, m));
+            // F_i = -A_i D_{i-1}^{-1}.
+            let f_i = neg_mul(comm, &row.a.convert::<E>(), &prev_inv);
             // D_i = B_i + F_i C_{i-1}.
             let mut d_i = row.b.convert::<E>();
             gemm(
@@ -556,22 +569,19 @@ impl<E: Element> ArdRankFactors<E> {
                 &mut d_i,
             );
             comm.compute(gemm_flops(m, m, m));
-            let lu = LuFactors::factor(&d_i).map_err(|source| FactorError { row: i, source })?;
-            comm.compute(lu_flops(m));
-            d_lu.push(lu.clone());
+            prev_inv = invert_block(comm, &d_i, i)?;
+            d_inv.push(prev_inv.clone());
             f.push(f_i);
-            prev_lu = lu;
         }
 
         // G_i = -D_i^{-1} C_i (automatically zero at i = N-1).
-        for (lu, row) in d_lu.iter().zip(&sys.rows) {
-            let mut g_i = lu.solve(&row.c.convert::<E>());
-            g_i.negate();
-            comm.compute(lu_solve_flops(m, m));
-            g.push(g_i);
-        }
+        let g = d_inv
+            .iter()
+            .zip(&sys.rows)
+            .map(|(inv, row)| neg_mul(comm, inv, &row.c.convert::<E>()))
+            .collect();
 
-        Ok((d_lu, f, g, boundary_cond))
+        Ok((d_inv, f, g, boundary_cond))
     }
 
     /// Windowed boundary recovery: runs the plain block-LU diagonal
@@ -626,8 +636,8 @@ impl<E: Element> ArdRankFactors<E> {
     /// price of acceleration; Table II).
     pub fn storage_bytes(&self) -> u64 {
         let mat_bytes = (self.m * self.m * std::mem::size_of::<E>()) as u64;
-        // d_lu (packed LU) + f + g per row, plus the prefix matrices if
-        // they have not been shed (see `shed_prefixes`).
+        // D_i^{-1} + F_i + G_i per row, plus the prefix matrices if they
+        // have not been shed (see `shed_prefixes`).
         let prefixes = (self.fwd_prefix.len() + self.bwd_prefix.len()) as u64;
         (3 * self.local_len() as u64 + prefixes) * mat_bytes
             + self.fwd_trace.storage_bytes()
@@ -667,42 +677,26 @@ impl<E: Element> ArdRankFactors<E> {
         self.ws.borrow_mut().trim_to(max_pooled_bytes)
     }
 
-    /// Replay-pipeline RHS tile width for an `M x R` batch: the
-    /// `BT_ARD_RHS_TILE` override when set (`0`/unset means auto), else
-    /// the cost-model calibration in [`auto_rhs_tile`].
-    fn resolve_rhs_tile<C: CommBackend>(comm: &C, m: usize, r: usize) -> usize {
-        static ENV_TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        let env = *ENV_TILE.get_or_init(|| {
-            std::env::var("BT_ARD_RHS_TILE")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&t| t > 0)
-        });
-        env.unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), m, r))
-    }
-
-    /// Fresh `M x R` output panels matching a right-hand-side batch.
-    fn alloc_out(y_local: &[Mat<E>]) -> Vec<Mat<E>> {
-        y_local
-            .iter()
-            .map(|p| Mat::zeros(p.rows(), p.cols()))
-            .collect()
-    }
-
     /// Solves one right-hand-side batch by **replaying** the recorded
     /// scans — the accelerated path, `O(M^2 R (N/P + log P))`.
     ///
-    /// `y_local[k]` is the `M x R` panel of global row `lo + k`. Returns
-    /// the solution panels in the same layout. Collective.
+    /// `y_local[k]` is the `M x R` panel of global row `lo + k`. The
+    /// panels are solved in place and handed back as the solution, so
+    /// the call allocates no output. Collective.
     ///
     /// # Panics
     ///
     /// Panics if setup was run with `record_traces = false`, or on panel
     /// shape mismatch.
-    pub fn solve_replay<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat<E>]) -> Vec<Mat<E>> {
-        let mut out = Self::alloc_out(y_local);
-        self.solve_replay_into(comm, y_local, &mut out);
-        out
+    pub fn solve_replay<C: CommBackend>(
+        &self,
+        comm: &mut C,
+        mut y_local: Vec<Mat<E>>,
+    ) -> Vec<Mat<E>> {
+        let r = self.check_panels(&y_local);
+        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
+        self.solve_in_place(comm, &mut y_local, true, tile);
+        y_local
     }
 
     /// [`ArdRankFactors::solve_replay`] writing into caller-provided
@@ -722,9 +716,9 @@ impl<E: Element> ArdRankFactors<E> {
         y_local: &[Mat<E>],
         out: &mut [Mat<E>],
     ) {
-        let r = y_local.first().map_or(0, |p| p.cols());
-        let tile = Self::resolve_rhs_tile(comm, self.m, r);
-        self.solve_replay_into_tiled(comm, y_local, out, tile);
+        let r = self.load(y_local, out);
+        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
+        self.solve_in_place(comm, out, true, tile);
     }
 
     /// [`ArdRankFactors::solve_replay_into`] with an explicit RHS tile
@@ -744,21 +738,18 @@ impl<E: Element> ArdRankFactors<E> {
         out: &mut [Mat<E>],
         tile: usize,
     ) {
-        assert!(
-            self.recorded,
-            "solve_replay requires setup(record_traces = true)"
-        );
-        self.solve_into_impl(comm, y_local, out, true, tile);
+        self.load(y_local, out);
+        self.solve_in_place(comm, out, true, tile);
     }
 
     /// Solves one batch with **fresh** scans (classic recursive
     /// doubling's per-solve Phase 2/3): full pairs travel and every scan
     /// combine pays the `O(M^3)` product. Collective.
     pub fn solve_fresh<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat<E>]) -> Vec<Mat<E>> {
-        let mut out = Self::alloc_out(y_local);
-        let r = y_local.first().map_or(0, |p| p.cols());
-        self.solve_into_impl(comm, y_local, &mut out, false, r.max(1));
-        out
+        let r = self.check_panels(y_local);
+        let mut x = y_local.to_vec();
+        self.solve_in_place(comm, &mut x, false, r.max(1));
+        x
     }
 
     /// Memory-lean replay: identical flop count and message pattern to
@@ -767,7 +758,8 @@ impl<E: Element> ArdRankFactors<E> {
     /// the fact that the scan's exclusive vector *is* the boundary value
     /// (`v_excl = z_{lo-1}`) and re-runs the plain first-order recurrence
     /// from it. The per-row prefix matrices are therefore never touched
-    /// and can be freed with [`ArdRankFactors::shed_prefixes`].
+    /// and can be freed with [`ArdRankFactors::shed_prefixes`]. Solves
+    /// the panels in place, like [`ArdRankFactors::solve_replay`].
     ///
     /// # Panics
     ///
@@ -776,11 +768,12 @@ impl<E: Element> ArdRankFactors<E> {
     pub fn solve_replay_lean<C: CommBackend>(
         &self,
         comm: &mut C,
-        y_local: &[Mat<E>],
+        mut y_local: Vec<Mat<E>>,
     ) -> Vec<Mat<E>> {
-        let mut out = Self::alloc_out(y_local);
-        self.solve_replay_lean_into(comm, y_local, &mut out);
-        out
+        let r = self.check_panels(&y_local);
+        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
+        self.lean_in_place(comm, &mut y_local, tile);
+        y_local
     }
 
     /// [`ArdRankFactors::solve_replay_lean`] writing into caller-provided
@@ -797,9 +790,9 @@ impl<E: Element> ArdRankFactors<E> {
         y_local: &[Mat<E>],
         out: &mut [Mat<E>],
     ) {
-        let r = y_local.first().map_or(0, |p| p.cols());
-        let tile = Self::resolve_rhs_tile(comm, self.m, r);
-        self.solve_replay_lean_into_tiled(comm, y_local, out, tile);
+        let r = self.load(y_local, out);
+        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
+        self.lean_in_place(comm, out, tile);
     }
 
     /// [`ArdRankFactors::solve_replay_lean_into`] with an explicit RHS
@@ -817,214 +810,48 @@ impl<E: Element> ArdRankFactors<E> {
         out: &mut [Mat<E>],
         tile: usize,
     ) {
+        self.load(y_local, out);
+        self.lean_in_place(comm, out, tile);
+    }
+
+    /// Body of the lean replay: [`lean_replay_in_place`] over the
+    /// per-row factors.
+    fn lean_in_place<C: CommBackend>(&self, comm: &mut C, panels: &mut [Mat<E>], tile: usize) {
         assert!(
             self.recorded,
             "solve_replay_lean requires setup(record_traces = true)"
         );
-        let m = self.m;
-        let nl = self.local_len();
-        let r = Self::check_panels(m, nl, y_local, out);
-        let mut ws = self.ws.borrow_mut();
-
-        // ---- Phase 2. On the logical-first rank the exclusive value is
-        // empty, so z is computable before the scan and doubles as the
-        // scan total; elsewhere, fold a total, scan, then run the
-        // recurrence from the boundary value z_{lo-1} = v_excl. `out`
-        // carries z (then h, then x) in place.
-        let fwd_first = comm.rank() == 0;
-        let span_fwd = bt_obs::span("solver", "solve.forward");
-        if fwd_first {
-            out[0].as_mut().copy_from(y_local[0].as_ref());
-            for k in 1..nl {
-                let (done, rest) = out.split_at_mut(k);
-                let zk = &mut rest[0];
-                zk.as_mut().copy_from(y_local[k].as_ref());
-                gemm(
-                    E::ONE,
-                    &self.f[k],
-                    Trans::No,
-                    &done[k - 1],
-                    Trans::No,
-                    E::ONE,
-                    zk,
-                );
-                comm.compute(gemm_flops(m, m, r));
-            }
-            let total = ws.take_copy(out[nl - 1].as_ref());
-            let none = affine_exscan_replay_tiled(
-                comm,
-                Direction::Forward,
-                tags::FWD_SOLVE,
-                total,
-                &self.fwd_trace,
-                &mut ws,
-                tile,
-            );
-            debug_assert!(none.is_none());
-        } else {
-            let mut total = ws.take_copy(y_local[0].as_ref());
-            for (yk, fk) in y_local.iter().zip(&self.f).skip(1) {
-                let mut v = ws.take_copy(yk.as_ref());
-                gemm(E::ONE, fk, Trans::No, &total, Trans::No, E::ONE, &mut v);
-                comm.compute(gemm_flops(m, m, r));
-                ws.put(std::mem::replace(&mut total, v));
-            }
-            let v_excl = affine_exscan_replay_tiled(
-                comm,
-                Direction::Forward,
-                tags::FWD_SOLVE,
-                total,
-                &self.fwd_trace,
-                &mut ws,
-                tile,
-            )
-            .expect("non-first rank always has an exclusive value");
-            for k in 0..nl {
-                let (done, rest) = out.split_at_mut(k);
-                let zk = &mut rest[0];
-                let prev = if k == 0 { &v_excl } else { &done[k - 1] };
-                zk.as_mut().copy_from(y_local[k].as_ref());
-                gemm(E::ONE, &self.f[k], Trans::No, prev, Trans::No, E::ONE, zk);
-                comm.compute(gemm_flops(m, m, r));
-            }
-            ws.put(v_excl);
-        }
-
-        drop(span_fwd);
-
-        // ---- h_i = D_i^{-1} z_i, in place.
-        {
-            let _span = bt_obs::span("solver", "solve.diag");
-            for (k, zk) in out.iter_mut().enumerate() {
-                self.d_lu[k].solve_in_place(&mut *zk);
-                comm.compute(lu_solve_flops(m, r));
-            }
-        }
-
-        // ---- Phase 3: mirror image of Phase 2.
-        let _span_bwd = bt_obs::span("solver", "solve.backward");
-        let bwd_first = comm.rank() == comm.size() - 1;
-        if bwd_first {
-            for k in (0..nl - 1).rev() {
-                let (head, tail) = out.split_at_mut(k + 1);
-                gemm(
-                    E::ONE,
-                    &self.g[k],
-                    Trans::No,
-                    &tail[0],
-                    Trans::No,
-                    E::ONE,
-                    &mut head[k],
-                );
-                comm.compute(gemm_flops(m, m, r));
-            }
-            let total = ws.take_copy(out[0].as_ref());
-            let none = affine_exscan_replay_tiled(
-                comm,
-                Direction::Backward,
-                tags::BWD_SOLVE,
-                total,
-                &self.bwd_trace,
-                &mut ws,
-                tile,
-            );
-            debug_assert!(none.is_none());
-        } else {
-            let mut total = ws.take_copy(out[nl - 1].as_ref());
-            for k in (0..nl - 1).rev() {
-                let mut v = ws.take_copy(out[k].as_ref());
-                gemm(
-                    E::ONE,
-                    &self.g[k],
-                    Trans::No,
-                    &total,
-                    Trans::No,
-                    E::ONE,
-                    &mut v,
-                );
-                comm.compute(gemm_flops(m, m, r));
-                ws.put(std::mem::replace(&mut total, v));
-            }
-            let w_excl = affine_exscan_replay_tiled(
-                comm,
-                Direction::Backward,
-                tags::BWD_SOLVE,
-                total,
-                &self.bwd_trace,
-                &mut ws,
-                tile,
-            )
-            .expect("non-last rank always has a backward exclusive value");
-            for k in (0..nl).rev() {
-                if k == nl - 1 {
-                    gemm(
-                        E::ONE,
-                        &self.g[k],
-                        Trans::No,
-                        &w_excl,
-                        Trans::No,
-                        E::ONE,
-                        &mut out[k],
-                    );
-                } else {
-                    let (head, tail) = out.split_at_mut(k + 1);
-                    gemm(
-                        E::ONE,
-                        &self.g[k],
-                        Trans::No,
-                        &tail[0],
-                        Trans::No,
-                        E::ONE,
-                        &mut head[k],
-                    );
-                }
-                comm.compute(gemm_flops(m, m, r));
-            }
-            ws.put(w_excl);
-        }
+        lean_replay_in_place(self, comm, panels, &mut self.ws.borrow_mut(), tile);
     }
 
-    /// Shared shape validation for the `_into` solves; returns `R`.
-    fn check_panels(m: usize, nl: usize, y_local: &[Mat<E>], out: &[Mat<E>]) -> usize {
-        assert_eq!(y_local.len(), nl, "rhs panel count mismatch");
-        assert_eq!(out.len(), nl, "output panel count mismatch");
-        let r = y_local[0].cols();
-        for (k, p) in y_local.iter().enumerate() {
-            assert_eq!(p.shape(), (m, r), "rhs panel {k} shape mismatch");
-        }
-        for (k, p) in out.iter().enumerate() {
-            assert_eq!(p.shape(), (m, r), "output panel {k} shape mismatch");
-        }
-        r
-    }
-
-    /// Shared body of [`ArdRankFactors::solve_replay_into`] and
-    /// [`ArdRankFactors::solve_fresh`]. `out` carries the working panels
-    /// through every stage (v_hat -> z -> h -> w_hat -> x in place); all
-    /// other temporaries cycle through the rank workspace.
-    fn solve_into_impl<C: CommBackend>(
+    /// Body of the replay ([`ArdRankFactors::solve_replay`] and its
+    /// `_into` forms) and of [`ArdRankFactors::solve_fresh`]. `panels`
+    /// holds `y` on entry and `x` on exit, carrying every stage in
+    /// between (v_hat -> z -> h -> w_hat -> x); all other temporaries
+    /// cycle through the rank workspace.
+    fn solve_in_place<C: CommBackend>(
         &self,
         comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
+        panels: &mut [Mat<E>],
         replay: bool,
         tile: usize,
     ) {
+        assert!(
+            !replay || self.recorded,
+            "solve_replay requires setup(record_traces = true)"
+        );
         let m = self.m;
         let nl = self.local_len();
-        let r = Self::check_panels(m, nl, y_local, out);
+        let r = panels[0].cols();
         let fwd_first = comm.rank() == 0;
         let bwd_first = comm.rank() == comm.size() - 1;
         let mut ws = self.ws.borrow_mut();
 
         // ---- Phase 2: forward substitution z_i = F_i z_{i-1} + y_i. -----
         let span_fwd = bt_obs::span("solver", "solve.forward");
-        // Local vector recurrence, v_hat built in `out`.
-        out[0].as_mut().copy_from(y_local[0].as_ref());
+        // Local vector recurrence, v_hat built over y.
         for k in 1..nl {
-            let (done, rest) = out.split_at_mut(k);
-            let vk = &mut rest[0];
-            vk.as_mut().copy_from(y_local[k].as_ref());
+            let (done, rest) = panels.split_at_mut(k);
             gemm(
                 E::ONE,
                 &self.f[k],
@@ -1032,13 +859,13 @@ impl<E: Element> ArdRankFactors<E> {
                 &done[k - 1],
                 Trans::No,
                 E::ONE,
-                vk,
+                &mut rest[0],
             );
             comm.compute(gemm_flops(m, m, r));
         }
         // Cross-rank scan.
         let v_excl = if replay {
-            let total = ws.take_copy(out[nl - 1].as_ref());
+            let total = ws.take_copy(panels[nl - 1].as_ref());
             affine_exscan_replay_tiled(
                 comm,
                 Direction::Forward,
@@ -1051,7 +878,7 @@ impl<E: Element> ArdRankFactors<E> {
         } else {
             let total = AffinePair {
                 mat: self.fwd_prefix[nl - 1].clone(),
-                vec: out[nl - 1].clone(),
+                vec: panels[nl - 1].clone(),
             };
             affine_exscan_fresh(comm, Direction::Forward, tags::FWD_SOLVE, total, None)
         };
@@ -1059,7 +886,7 @@ impl<E: Element> ArdRankFactors<E> {
         match v_excl {
             None => debug_assert!(fwd_first),
             Some(vin) => {
-                for (k, zk) in out.iter_mut().enumerate() {
+                for (k, zk) in panels.iter_mut().enumerate() {
                     gemm(
                         E::ONE,
                         &self.fwd_prefix[k],
@@ -1079,18 +906,12 @@ impl<E: Element> ArdRankFactors<E> {
 
         drop(span_fwd);
 
-        // ---- h_i = D_i^{-1} z_i, in place. ------------------------------
-        let span_diag = bt_obs::span("solver", "solve.diag");
-        for (k, zk) in out.iter_mut().enumerate() {
-            self.d_lu[k].solve_in_place(&mut *zk);
-            comm.compute(lu_solve_flops(m, r));
-        }
-        drop(span_diag);
+        diag_solve_in_place(self, comm, panels, &mut ws);
 
         // ---- Phase 3: backward substitution x_i = G_i x_{i+1} + h_i. ----
         let _span_bwd = bt_obs::span("solver", "solve.backward");
         for k in (0..nl - 1).rev() {
-            let (head, tail) = out.split_at_mut(k + 1);
+            let (head, tail) = panels.split_at_mut(k + 1);
             gemm(
                 E::ONE,
                 &self.g[k],
@@ -1103,7 +924,7 @@ impl<E: Element> ArdRankFactors<E> {
             comm.compute(gemm_flops(m, m, r));
         }
         let w_excl = if replay {
-            let total = ws.take_copy(out[0].as_ref());
+            let total = ws.take_copy(panels[0].as_ref());
             affine_exscan_replay_tiled(
                 comm,
                 Direction::Backward,
@@ -1116,14 +937,14 @@ impl<E: Element> ArdRankFactors<E> {
         } else {
             let total = AffinePair {
                 mat: self.bwd_prefix[0].clone(),
-                vec: out[0].clone(),
+                vec: panels[0].clone(),
             };
             affine_exscan_fresh(comm, Direction::Backward, tags::BWD_SOLVE, total, None)
         };
         match w_excl {
             None => debug_assert!(bwd_first),
             Some(win) => {
-                for (k, xk) in out.iter_mut().enumerate() {
+                for (k, xk) in panels.iter_mut().enumerate() {
                     gemm(
                         E::ONE,
                         &self.bwd_prefix[k],
@@ -1140,6 +961,277 @@ impl<E: Element> ArdRankFactors<E> {
                 }
             }
         }
+    }
+}
+
+/// Per-row factor lookup: what the replay bodies read from a factor
+/// store. Local row `k` of the owning rank.
+pub(crate) trait ReplayFactors<E: Element> {
+    /// Block order `M`.
+    fn order(&self) -> usize;
+    /// Owned rows.
+    fn rows(&self) -> usize;
+    /// `F_i = -A_i D_{i-1}^{-1}`.
+    fn f_at(&self, k: usize) -> &Mat<E>;
+    /// `G_i = -D_i^{-1} C_i`.
+    fn g_at(&self, k: usize) -> &Mat<E>;
+    /// `D_i^{-1}`.
+    fn d_inv_at(&self, k: usize) -> &Mat<E>;
+    /// Recorded forward and backward cross-rank scans.
+    fn traces(&self) -> (&ScanTrace<E>, &ScanTrace<E>);
+
+    /// Shape validation shared by every solve; returns `R`.
+    fn check_panels(&self, panels: &[Mat<E>]) -> usize {
+        assert_eq!(panels.len(), self.rows(), "panel count mismatch");
+        let r = panels[0].cols();
+        for (k, p) in panels.iter().enumerate() {
+            assert_eq!(p.shape(), (self.order(), r), "panel {k} shape mismatch");
+        }
+        r
+    }
+
+    /// Copies a right-hand-side batch into the caller's output panels, on
+    /// which the `_into` solves then run in place; returns `R`.
+    fn load(&self, y_local: &[Mat<E>], out: &mut [Mat<E>]) -> usize {
+        let r = self.check_panels(y_local);
+        assert_eq!(self.check_panels(out), r, "output panel width mismatch");
+        for (o, y) in out.iter_mut().zip(y_local) {
+            o.as_mut().copy_from(y.as_ref());
+        }
+        r
+    }
+}
+
+impl<E: Element> ReplayFactors<E> for ArdRankFactors<E> {
+    fn order(&self) -> usize {
+        self.m
+    }
+
+    fn rows(&self) -> usize {
+        self.local_len()
+    }
+
+    fn f_at(&self, k: usize) -> &Mat<E> {
+        &self.f[k]
+    }
+
+    fn g_at(&self, k: usize) -> &Mat<E> {
+        &self.g[k]
+    }
+
+    fn d_inv_at(&self, k: usize) -> &Mat<E> {
+        &self.d_inv[k]
+    }
+
+    fn traces(&self) -> (&ScanTrace<E>, &ScanTrace<E>) {
+        (&self.fwd_trace, &self.bwd_trace)
+    }
+}
+
+/// Replay-pipeline RHS tile width for an `M x R` batch: the
+/// `BT_ARD_RHS_TILE` override when set (`0`/unset means auto), else the
+/// cost-model calibration in [`crate::scans::auto_rhs_tile`].
+pub(crate) fn resolve_rhs_tile<C: CommBackend, E: Element>(comm: &C, m: usize, r: usize) -> usize {
+    static ENV_TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    let env = *ENV_TILE.get_or_init(|| {
+        std::env::var("BT_ARD_RHS_TILE")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&t| t > 0)
+    });
+    env.unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), m, r))
+}
+
+/// `h_i = D_i^{-1} z_i` over every panel, in place: one `M x M · M x R`
+/// GEMM per row against the stored inverse, staged through a single
+/// pooled scratch panel (a GEMM cannot overwrite its operand).
+fn diag_solve_in_place<C: CommBackend, E: Element, F: ReplayFactors<E>>(
+    factors: &F,
+    comm: &mut C,
+    panels: &mut [Mat<E>],
+    ws: &mut Workspace<E>,
+) {
+    let _span = bt_obs::span("solver", "solve.diag");
+    let (m, r) = panels[0].shape();
+    let mut z = ws.take(m, r);
+    for (k, hk) in panels.iter_mut().enumerate() {
+        z.as_mut().copy_from(hk.as_ref());
+        gemm(
+            E::ONE,
+            factors.d_inv_at(k),
+            Trans::No,
+            &z,
+            Trans::No,
+            E::ZERO,
+            hk,
+        );
+        comm.compute(gemm_flops(m, m, r));
+    }
+    ws.put(z);
+}
+
+/// The boundary-value replay body, shared by
+/// [`ArdRankFactors::solve_replay_lean`] and the Toeplitz replay.
+/// `panels` holds `y` on entry and `x` on exit, carrying z and h in
+/// between; all other temporaries cycle through `ws`. Collective.
+pub(crate) fn lean_replay_in_place<C: CommBackend, E: Element, F: ReplayFactors<E>>(
+    factors: &F,
+    comm: &mut C,
+    panels: &mut [Mat<E>],
+    ws: &mut Workspace<E>,
+    tile: usize,
+) {
+    let (m, r) = panels[0].shape();
+    let nl = factors.rows();
+    let (fwd_trace, bwd_trace) = factors.traces();
+
+    // ---- Phase 2. On the logical-first rank the exclusive value is
+    // empty, so z is computable before the scan and doubles as the
+    // scan total; elsewhere, fold a total, scan, then run the
+    // recurrence from the boundary value z_{lo-1} = v_excl.
+    let fwd_first = comm.rank() == 0;
+    let span_fwd = bt_obs::span("solver", "solve.forward");
+    if fwd_first {
+        for k in 1..nl {
+            let (done, rest) = panels.split_at_mut(k);
+            gemm(
+                E::ONE,
+                factors.f_at(k),
+                Trans::No,
+                &done[k - 1],
+                Trans::No,
+                E::ONE,
+                &mut rest[0],
+            );
+            comm.compute(gemm_flops(m, m, r));
+        }
+        let total = ws.take_copy(panels[nl - 1].as_ref());
+        let none = affine_exscan_replay_tiled(
+            comm,
+            Direction::Forward,
+            tags::FWD_SOLVE,
+            total,
+            fwd_trace,
+            ws,
+            tile,
+        );
+        debug_assert!(none.is_none());
+    } else {
+        let mut total = ws.take_copy(panels[0].as_ref());
+        for (k, yk) in panels.iter().enumerate().skip(1) {
+            let mut v = ws.take_copy(yk.as_ref());
+            gemm(
+                E::ONE,
+                factors.f_at(k),
+                Trans::No,
+                &total,
+                Trans::No,
+                E::ONE,
+                &mut v,
+            );
+            comm.compute(gemm_flops(m, m, r));
+            ws.put(std::mem::replace(&mut total, v));
+        }
+        let v_excl = affine_exscan_replay_tiled(
+            comm,
+            Direction::Forward,
+            tags::FWD_SOLVE,
+            total,
+            fwd_trace,
+            ws,
+            tile,
+        )
+        .expect("non-first rank always has an exclusive value");
+        for k in 0..nl {
+            let (done, rest) = panels.split_at_mut(k);
+            let prev = if k == 0 { &v_excl } else { &done[k - 1] };
+            gemm(
+                E::ONE,
+                factors.f_at(k),
+                Trans::No,
+                prev,
+                Trans::No,
+                E::ONE,
+                &mut rest[0],
+            );
+            comm.compute(gemm_flops(m, m, r));
+        }
+        ws.put(v_excl);
+    }
+
+    drop(span_fwd);
+
+    diag_solve_in_place(factors, comm, panels, ws);
+
+    // ---- Phase 3: mirror image of Phase 2.
+    let _span_bwd = bt_obs::span("solver", "solve.backward");
+    let bwd_first = comm.rank() == comm.size() - 1;
+    if bwd_first {
+        for k in (0..nl - 1).rev() {
+            let (head, tail) = panels.split_at_mut(k + 1);
+            gemm(
+                E::ONE,
+                factors.g_at(k),
+                Trans::No,
+                &tail[0],
+                Trans::No,
+                E::ONE,
+                &mut head[k],
+            );
+            comm.compute(gemm_flops(m, m, r));
+        }
+        let total = ws.take_copy(panels[0].as_ref());
+        let none = affine_exscan_replay_tiled(
+            comm,
+            Direction::Backward,
+            tags::BWD_SOLVE,
+            total,
+            bwd_trace,
+            ws,
+            tile,
+        );
+        debug_assert!(none.is_none());
+    } else {
+        let mut total = ws.take_copy(panels[nl - 1].as_ref());
+        for k in (0..nl - 1).rev() {
+            let mut v = ws.take_copy(panels[k].as_ref());
+            gemm(
+                E::ONE,
+                factors.g_at(k),
+                Trans::No,
+                &total,
+                Trans::No,
+                E::ONE,
+                &mut v,
+            );
+            comm.compute(gemm_flops(m, m, r));
+            ws.put(std::mem::replace(&mut total, v));
+        }
+        let w_excl = affine_exscan_replay_tiled(
+            comm,
+            Direction::Backward,
+            tags::BWD_SOLVE,
+            total,
+            bwd_trace,
+            ws,
+            tile,
+        )
+        .expect("non-last rank always has a backward exclusive value");
+        for k in (0..nl).rev() {
+            let (head, tail) = panels.split_at_mut(k + 1);
+            let next = if k == nl - 1 { &w_excl } else { &tail[0] };
+            gemm(
+                E::ONE,
+                factors.g_at(k),
+                Trans::No,
+                next,
+                Trans::No,
+                E::ONE,
+                &mut head[k],
+            );
+            comm.compute(gemm_flops(m, m, r));
+        }
+        ws.put(w_excl);
     }
 }
 

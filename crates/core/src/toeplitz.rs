@@ -6,7 +6,7 @@
 //! blocks `(A, B, C)`. The general [`crate::state::ArdRankFactors`]
 //! setup ignores that: it applies `N/P` distinct companion matrices in
 //! Phase 1a and stores five `M x M` matrices per owned row
-//! (`LU(D_i)`, `F_i`, `G_i` and two prefix panels).
+//! (`D_i^{-1}`, `F_i`, `G_i` and two prefix panels).
 //!
 //! With constant blocks, both costs collapse:
 //!
@@ -18,7 +18,7 @@
 //!   `D_i = B - A D_{i-1}^{-1} C` is a fixed-point iteration that
 //!   contracts geometrically for the diagonally dominant systems the
 //!   exact scan handles. After a short *head* (a few dozen rows at
-//!   machine precision), `D_i`, `F_i = -A D_{i-1}^{-1}` and
+//!   machine precision), `D_i^{-1}`, `F_i = -A D_{i-1}^{-1}` and
 //!   `G_i = -D_i^{-1} C` are constant: one shared *tail* triple serves
 //!   every remaining row, so factor storage drops from `5 * N/P`
 //!   matrices to `3 * head + 3` — and the replay's working set fits in
@@ -26,8 +26,8 @@
 //!   solve. The local prefix totals the cross-rank scans need become
 //!   head products times `tail^t` powers, again by repeated squaring.
 //!
-//! The replay pipeline (tiled scan replay, workspace reuse, tags) is
-//! the general path's unchanged; only the factor lookup differs.
+//! The replay is the general path's lean replay body itself (tiled scan
+//! replay, workspace reuse, tags); only the factor lookup differs.
 //! Detection ([`detect_toeplitz`]) is exact block equality, so the fast
 //! path is never entered on a system it would silently approximate
 //! beyond the head-convergence tolerance (a few hundred ulps, the same
@@ -37,29 +37,18 @@ use std::cell::RefCell;
 
 use bt_blocktri::{BlockRowSource, FactorError};
 use bt_comm::CommBackend;
-use bt_dense::{
-    gemm, gemm_flops, lu_flops, lu_solve_flops, Element, LuFactors, Mat, Trans, Workspace,
-};
+use bt_dense::{gemm, gemm_flops, Element, Mat, Trans, Workspace};
 
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
 use crate::pairs::AffinePair;
 use crate::refine::{halo_exchange_into, local_residual_into, sq_norm, RefinedSolve, REFINE_ITERS};
-use crate::scans::{
-    affine_exscan_fresh, affine_exscan_replay_tiled, auto_rhs_tile_for, companion_exscan,
-    Direction, ScanTrace,
-};
+use crate::scans::{affine_exscan_fresh, companion_exscan, Direction, ScanTrace};
 use crate::solver::{RankSolver, Session};
-use crate::state::RankSystem;
-
-/// Tag bases, identical to the general path's (`crate::state`): a world
-/// runs one solver family, so the spaces never collide.
-mod tags {
-    pub const PHASE1: u64 = 0;
-    pub const FWD_SETUP: u64 = 64;
-    pub const BWD_SETUP: u64 = 128;
-    pub const FWD_SOLVE: u64 = 192;
-    pub const BWD_SOLVE: u64 = 256;
-}
+// Tag bases are the general path's: the Toeplitz setup records scans
+// the shared replay body then plays back.
+use crate::state::{
+    invert_block, lean_replay_in_place, neg_mul, resolve_rhs_tile, tags, RankSystem, ReplayFactors,
+};
 
 /// Head-convergence tolerance, relative to `max_abs(D)`: the recurrence
 /// is declared stationary once consecutive diagonals agree to a few
@@ -112,15 +101,15 @@ pub struct ToeplitzRankFactors<E: Element = f64> {
     pub lo: usize,
     /// One past the last owned global row.
     pub hi: usize,
-    /// Per-row `LU(D_i)` for the pre-convergence head (local rows
+    /// Per-row `D_i^{-1}` for the pre-convergence head (local rows
     /// `0..head_len`).
-    head_d_lu: Vec<LuFactors<E>>,
+    head_d_inv: Vec<Mat<E>>,
     /// Per-row `F_i` for the head (`F_0 = 0` on rank 0).
     head_f: Vec<Mat<E>>,
     /// Per-row `G_i` for the head.
     head_g: Vec<Mat<E>>,
-    /// Shared `LU(D)` for local rows `head_len..`.
-    tail_d_lu: LuFactors<E>,
+    /// Shared `D^{-1}` for local rows `head_len..`.
+    tail_d_inv: Mat<E>,
     /// Shared `F` for the tail.
     tail_f: Mat<E>,
     /// Shared `G` for the tail.
@@ -287,7 +276,7 @@ impl<E: Element> ToeplitzRankFactors<E> {
                 },
             });
         }
-        let (head_d_lu, head_f, head_g, tail_d_lu, tail_f, tail_g, my_cond) =
+        let (head_d_inv, head_f, head_g, tail_d_inv, tail_f, tail_g, my_cond) =
             local.expect("checked above");
         let boundary_cond = comm.allreduce(
             if my_cond.is_finite() {
@@ -303,7 +292,7 @@ impl<E: Element> ToeplitzRankFactors<E> {
         // local indices, so the total is tail^t applied left of the head
         // product (new factors multiply on the LEFT as the index grows).
         let span_totals = bt_obs::span("solver", "setup.toeplitz_totals");
-        let head_len = head_d_lu.len();
+        let head_len = head_d_inv.len();
         let t = nl - head_len;
         let fwd_total = {
             let mut acc = if head_len == 0 {
@@ -366,10 +355,10 @@ impl<E: Element> ToeplitzRankFactors<E> {
             m,
             lo: sys.lo,
             hi: sys.hi,
-            head_d_lu,
+            head_d_inv,
             head_f,
             head_g,
-            tail_d_lu,
+            tail_d_inv,
             tail_f,
             tail_g,
             g_zero: (sys.hi == sys.n).then(|| Mat::zeros(m, m)),
@@ -393,10 +382,10 @@ impl<E: Element> ToeplitzRankFactors<E> {
         ws: &mut Workspace,
     ) -> Result<
         (
-            Vec<LuFactors<E>>,
             Vec<Mat<E>>,
             Vec<Mat<E>>,
-            LuFactors<E>,
+            Vec<Mat<E>>,
+            Mat<E>,
             Mat<E>,
             Mat<E>,
             f64,
@@ -442,78 +431,64 @@ impl<E: Element> ToeplitzRankFactors<E> {
         };
         let c_tpl: Mat<E> = sys.row0.c.convert::<E>();
 
-        let mut head_d_lu: Vec<LuFactors<E>> = Vec::new();
+        let mut head_d_inv: Vec<Mat<E>> = Vec::new();
         let mut head_f: Vec<Mat<E>> = Vec::new();
-        let mut prev_lu: LuFactors<E>;
-        // The diagonal the stationarity test compares against: the
+        // `D^{-1}` of the row before the first one the loop handles, and
+        // the diagonal the stationarity test compares against: the
         // boundary diagonal continues the same recurrence, so on
         // non-first ranks row `lo` can converge immediately (it usually
         // does — convergence happened inside rank 0's head).
-        let mut prev_d: Option<Mat<E>>;
-        let start_k;
-        if sys.lo == 0 {
-            let lu = LuFactors::factor(&boundary_diag)
-                .map_err(|source| FactorError { row: 0, source })?;
-            comm.compute(lu_flops(m));
-            head_d_lu.push(lu.clone());
+        let mut prev_inv = invert_block(comm, &boundary_diag, sys.lo.saturating_sub(1))?;
+        let mut prev_d = boundary_diag;
+        let start_k = if sys.lo == 0 {
+            head_d_inv.push(prev_inv.clone());
             head_f.push(Mat::zeros(m, m)); // F_0 = 0
-            prev_lu = lu;
-            prev_d = Some(boundary_diag);
-            start_k = 1;
+            1
         } else {
-            prev_lu = LuFactors::factor(&boundary_diag).map_err(|source| FactorError {
-                row: sys.lo - 1,
-                source,
-            })?;
-            comm.compute(lu_flops(m));
-            prev_d = Some(boundary_diag);
-            start_k = 0;
-        }
+            0
+        };
 
         for k in start_k..nl {
             let i = sys.lo + k;
             // F_i = -A D_{i-1}^{-1}; D_i = B + F_i C.
-            let mut f_i = prev_lu.solve_transposed_system(&a_tpl);
-            f_i.negate();
-            comm.compute(lu_solve_flops(m, m));
+            let f_i = neg_mul(comm, &a_tpl, &prev_inv);
             let mut d_i = sys.rows[k].b.convert::<E>();
             gemm(E::ONE, &f_i, Trans::No, &c_tpl, Trans::No, E::ONE, &mut d_i);
             comm.compute(gemm_flops(m, m, m));
-            let lu = LuFactors::factor(&d_i).map_err(|source| FactorError { row: i, source })?;
-            comm.compute(lu_flops(m));
-            let stationary = prev_d
-                .as_ref()
-                .is_some_and(|pd| d_i.sub(pd).max_abs() <= tol * d_i.max_abs());
-            if stationary {
-                // Row k (and everything after) uses the shared tail.
-                let mut tail_f = lu.solve_transposed_system(&a_tpl);
-                tail_f.negate();
-                let mut tail_g = lu.solve(&c_tpl);
-                tail_g.negate();
-                comm.compute(2 * lu_solve_flops(m, m));
-                let head_g = Self::head_g_pass(comm, sys, &head_d_lu);
-                return Ok((head_d_lu, head_f, head_g, lu, tail_f, tail_g, boundary_cond));
+            let inv = invert_block(comm, &d_i, i)?;
+            if d_i.sub(&prev_d).max_abs() <= tol * d_i.max_abs() {
+                // Stationary: row k (and everything after) uses the
+                // shared tail.
+                let tail_f = neg_mul(comm, &a_tpl, &inv);
+                let tail_g = neg_mul(comm, &inv, &c_tpl);
+                let head_g = Self::head_g_pass(comm, sys, &head_d_inv);
+                return Ok((
+                    head_d_inv,
+                    head_f,
+                    head_g,
+                    inv,
+                    tail_f,
+                    tail_g,
+                    boundary_cond,
+                ));
             }
-            head_d_lu.push(lu.clone());
+            head_d_inv.push(inv.clone());
             head_f.push(f_i);
-            prev_d = Some(d_i);
-            prev_lu = lu;
+            prev_d = d_i;
+            prev_inv = inv;
         }
         // Never went stationary (short slice or weak dominance): the
         // whole slice is head, and the tail triple — built from the last
         // diagonal, exponent zero in every power — is dead weight kept
         // for struct uniformity.
-        let mut tail_f = prev_lu.solve_transposed_system(&a_tpl);
-        tail_f.negate();
-        let mut tail_g = prev_lu.solve(&c_tpl);
-        tail_g.negate();
-        comm.compute(2 * lu_solve_flops(m, m));
-        let head_g = Self::head_g_pass(comm, sys, &head_d_lu);
+        let tail_f = neg_mul(comm, &a_tpl, &prev_inv);
+        let tail_g = neg_mul(comm, &prev_inv, &c_tpl);
+        let head_g = Self::head_g_pass(comm, sys, &head_d_inv);
         Ok((
-            head_d_lu,
+            head_d_inv,
             head_f,
             head_g,
-            prev_lu,
+            prev_inv,
             tail_f,
             tail_g,
             boundary_cond,
@@ -526,18 +501,12 @@ impl<E: Element> ToeplitzRankFactors<E> {
     fn head_g_pass<C: CommBackend>(
         comm: &mut C,
         sys: &RankSystem,
-        head_d_lu: &[LuFactors<E>],
+        head_d_inv: &[Mat<E>],
     ) -> Vec<Mat<E>> {
-        let m = sys.m;
-        head_d_lu
+        head_d_inv
             .iter()
             .zip(&sys.rows)
-            .map(|(lu, row)| {
-                let mut g_i = lu.solve(&row.c.convert::<E>());
-                g_i.negate();
-                comm.compute(lu_solve_flops(m, m));
-                g_i
-            })
+            .map(|(inv, row)| neg_mul(comm, inv, &row.c.convert::<E>()))
             .collect()
     }
 
@@ -548,7 +517,7 @@ impl<E: Element> ToeplitzRankFactors<E> {
 
     /// Rows stored per-row before the recurrence went stationary.
     pub fn head_len(&self) -> usize {
-        self.head_d_lu.len()
+        self.head_d_inv.len()
     }
 
     /// Worst boundary-extraction condition estimate across ranks (see
@@ -578,63 +547,23 @@ impl<E: Element> ToeplitzRankFactors<E> {
         self.ws.borrow_mut().trim_to(max_pooled_bytes)
     }
 
-    /// `F_i` for local row `k`.
-    fn f_at(&self, k: usize) -> &Mat<E> {
-        if k < self.head_f.len() {
-            &self.head_f[k]
-        } else {
-            &self.tail_f
-        }
-    }
-
-    /// `G_i` for local row `k` (zero at the last global row).
-    fn g_at(&self, k: usize) -> &Mat<E> {
-        if self.lo + k == self.n - 1 {
-            self.g_zero.as_ref().expect("last rank stores g_zero")
-        } else if k < self.head_g.len() {
-            &self.head_g[k]
-        } else {
-            &self.tail_g
-        }
-    }
-
-    /// `LU(D_i)` for local row `k`.
-    fn d_lu_at(&self, k: usize) -> &LuFactors<E> {
-        if k < self.head_d_lu.len() {
-            &self.head_d_lu[k]
-        } else {
-            &self.tail_d_lu
-        }
-    }
-
-    /// Same policy as the general path: `BT_ARD_RHS_TILE` override, else
-    /// the cost-model calibration.
-    fn resolve_rhs_tile<C: CommBackend>(comm: &C, m: usize, r: usize) -> usize {
-        static ENV_TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        let env = *ENV_TILE.get_or_init(|| {
-            std::env::var("BT_ARD_RHS_TILE")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&t| t > 0)
-        });
-        env.unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), m, r))
-    }
-
     /// Replays the recorded scans for one right-hand-side batch —
-    /// `y_local[k]` is the `M x R` panel of global row `lo + k`.
-    /// Collective; same pipeline as the general lean replay, with the
-    /// head/tail factor lookup.
+    /// `y_local[k]` is the `M x R` panel of global row `lo + k` — solving
+    /// the panels in place and handing them back. Collective; the
+    /// general path's lean replay with the head/tail factor lookup.
     ///
     /// # Panics
     ///
     /// Panics on panel shape mismatch.
-    pub fn solve_replay<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat<E>]) -> Vec<Mat<E>> {
-        let mut out: Vec<Mat<E>> = y_local
-            .iter()
-            .map(|p| Mat::zeros(p.rows(), p.cols()))
-            .collect();
-        self.solve_replay_into(comm, y_local, &mut out);
-        out
+    pub fn solve_replay<C: CommBackend>(
+        &self,
+        comm: &mut C,
+        mut y_local: Vec<Mat<E>>,
+    ) -> Vec<Mat<E>> {
+        let r = self.check_panels(&y_local);
+        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
+        lean_replay_in_place(self, comm, &mut y_local, &mut self.ws.borrow_mut(), tile);
+        y_local
     }
 
     /// [`ToeplitzRankFactors::solve_replay`] into caller-provided
@@ -649,9 +578,9 @@ impl<E: Element> ToeplitzRankFactors<E> {
         y_local: &[Mat<E>],
         out: &mut [Mat<E>],
     ) {
-        let r = y_local.first().map_or(0, |p| p.cols());
-        let tile = Self::resolve_rhs_tile(comm, self.m, r);
-        self.solve_replay_into_tiled(comm, y_local, out, tile);
+        let r = self.load(y_local, out);
+        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
+        lean_replay_in_place(self, comm, out, &mut self.ws.borrow_mut(), tile);
     }
 
     /// [`ToeplitzRankFactors::solve_replay_into`] with an explicit RHS
@@ -667,178 +596,39 @@ impl<E: Element> ToeplitzRankFactors<E> {
         out: &mut [Mat<E>],
         tile: usize,
     ) {
-        let m = self.m;
-        let nl = self.local_len();
-        assert_eq!(y_local.len(), nl, "rhs panel count mismatch");
-        assert_eq!(out.len(), nl, "output panel count mismatch");
-        let r = y_local[0].cols();
-        for (k, p) in y_local.iter().enumerate() {
-            assert_eq!(p.shape(), (m, r), "rhs panel {k} shape mismatch");
-        }
-        for (k, p) in out.iter().enumerate() {
-            assert_eq!(p.shape(), (m, r), "output panel {k} shape mismatch");
-        }
-        let mut ws = self.ws.borrow_mut();
+        self.load(y_local, out);
+        lean_replay_in_place(self, comm, out, &mut self.ws.borrow_mut(), tile);
+    }
+}
 
-        // ---- Phase 2 (forward), boundary-value recurrence form. ---------
-        let fwd_first = comm.rank() == 0;
-        let span_fwd = bt_obs::span("solver", "solve.forward");
-        if fwd_first {
-            out[0].as_mut().copy_from(y_local[0].as_ref());
-            for k in 1..nl {
-                let (done, rest) = out.split_at_mut(k);
-                let zk = &mut rest[0];
-                zk.as_mut().copy_from(y_local[k].as_ref());
-                gemm(
-                    E::ONE,
-                    self.f_at(k),
-                    Trans::No,
-                    &done[k - 1],
-                    Trans::No,
-                    E::ONE,
-                    zk,
-                );
-                comm.compute(gemm_flops(m, m, r));
-            }
-            let total = ws.take_copy(out[nl - 1].as_ref());
-            let none = affine_exscan_replay_tiled(
-                comm,
-                Direction::Forward,
-                tags::FWD_SOLVE,
-                total,
-                &self.fwd_trace,
-                &mut ws,
-                tile,
-            );
-            debug_assert!(none.is_none());
+impl<E: Element> ReplayFactors<E> for ToeplitzRankFactors<E> {
+    fn order(&self) -> usize {
+        self.m
+    }
+
+    fn rows(&self) -> usize {
+        self.local_len()
+    }
+
+    fn f_at(&self, k: usize) -> &Mat<E> {
+        self.head_f.get(k).unwrap_or(&self.tail_f)
+    }
+
+    /// Zero at the last global row.
+    fn g_at(&self, k: usize) -> &Mat<E> {
+        if self.lo + k == self.n - 1 {
+            self.g_zero.as_ref().expect("last rank stores g_zero")
         } else {
-            let mut total = ws.take_copy(y_local[0].as_ref());
-            for (k, yk) in y_local.iter().enumerate().skip(1) {
-                let mut v = ws.take_copy(yk.as_ref());
-                gemm(
-                    E::ONE,
-                    self.f_at(k),
-                    Trans::No,
-                    &total,
-                    Trans::No,
-                    E::ONE,
-                    &mut v,
-                );
-                comm.compute(gemm_flops(m, m, r));
-                ws.put(std::mem::replace(&mut total, v));
-            }
-            let v_excl = affine_exscan_replay_tiled(
-                comm,
-                Direction::Forward,
-                tags::FWD_SOLVE,
-                total,
-                &self.fwd_trace,
-                &mut ws,
-                tile,
-            )
-            .expect("non-first rank always has an exclusive value");
-            for k in 0..nl {
-                let (done, rest) = out.split_at_mut(k);
-                let zk = &mut rest[0];
-                let prev = if k == 0 { &v_excl } else { &done[k - 1] };
-                zk.as_mut().copy_from(y_local[k].as_ref());
-                gemm(E::ONE, self.f_at(k), Trans::No, prev, Trans::No, E::ONE, zk);
-                comm.compute(gemm_flops(m, m, r));
-            }
-            ws.put(v_excl);
+            self.head_g.get(k).unwrap_or(&self.tail_g)
         }
-        drop(span_fwd);
+    }
 
-        // ---- Diagonal solves, in place. ---------------------------------
-        {
-            let _span = bt_obs::span("solver", "solve.diag");
-            for (k, zk) in out.iter_mut().enumerate() {
-                self.d_lu_at(k).solve_in_place(&mut *zk);
-                comm.compute(lu_solve_flops(m, r));
-            }
-        }
+    fn d_inv_at(&self, k: usize) -> &Mat<E> {
+        self.head_d_inv.get(k).unwrap_or(&self.tail_d_inv)
+    }
 
-        // ---- Phase 3 (backward), mirror image. --------------------------
-        let _span_bwd = bt_obs::span("solver", "solve.backward");
-        let bwd_first = comm.rank() == comm.size() - 1;
-        if bwd_first {
-            for k in (0..nl - 1).rev() {
-                let (head, tail) = out.split_at_mut(k + 1);
-                gemm(
-                    E::ONE,
-                    self.g_at(k),
-                    Trans::No,
-                    &tail[0],
-                    Trans::No,
-                    E::ONE,
-                    &mut head[k],
-                );
-                comm.compute(gemm_flops(m, m, r));
-            }
-            let total = ws.take_copy(out[0].as_ref());
-            let none = affine_exscan_replay_tiled(
-                comm,
-                Direction::Backward,
-                tags::BWD_SOLVE,
-                total,
-                &self.bwd_trace,
-                &mut ws,
-                tile,
-            );
-            debug_assert!(none.is_none());
-        } else {
-            let mut total = ws.take_copy(out[nl - 1].as_ref());
-            for k in (0..nl - 1).rev() {
-                let mut v = ws.take_copy(out[k].as_ref());
-                gemm(
-                    E::ONE,
-                    self.g_at(k),
-                    Trans::No,
-                    &total,
-                    Trans::No,
-                    E::ONE,
-                    &mut v,
-                );
-                comm.compute(gemm_flops(m, m, r));
-                ws.put(std::mem::replace(&mut total, v));
-            }
-            let w_excl = affine_exscan_replay_tiled(
-                comm,
-                Direction::Backward,
-                tags::BWD_SOLVE,
-                total,
-                &self.bwd_trace,
-                &mut ws,
-                tile,
-            )
-            .expect("non-last rank always has a backward exclusive value");
-            for k in (0..nl).rev() {
-                if k == nl - 1 {
-                    gemm(
-                        E::ONE,
-                        self.g_at(k),
-                        Trans::No,
-                        &w_excl,
-                        Trans::No,
-                        E::ONE,
-                        &mut out[k],
-                    );
-                } else {
-                    let (head, tail) = out.split_at_mut(k + 1);
-                    gemm(
-                        E::ONE,
-                        self.g_at(k),
-                        Trans::No,
-                        &tail[0],
-                        Trans::No,
-                        E::ONE,
-                        &mut head[k],
-                    );
-                }
-                comm.compute(gemm_flops(m, m, r));
-            }
-            ws.put(w_excl);
-        }
+    fn traces(&self) -> (&ScanTrace<E>, &ScanTrace<E>) {
+        (&self.fwd_trace, &self.bwd_trace)
     }
 }
 
@@ -859,7 +649,7 @@ impl ToeplitzRankFactors {
         max_sweeps: usize,
         tol: f64,
     ) -> RefinedSolve {
-        let mut x = self.solve_replay(comm, y_local);
+        let mut x = self.solve_replay(comm, y_local.to_vec());
         let y_norm2 = comm
             .allreduce(sq_norm(y_local), |a, b| a + b)
             .max(f64::MIN_POSITIVE);
@@ -929,7 +719,7 @@ impl RankSolver for ToeplitzRankFactors {
     }
 
     fn solve<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
-        self.solve_replay(comm, y_local)
+        self.solve_replay(comm, y_local.to_vec())
     }
 
     fn storage_bytes(&self) -> u64 {

@@ -12,6 +12,13 @@
 //! captured on the AVX2+FMA kernels — fused rounding differs from the
 //! scalar/NEON paths — so they are asserted only when that ISA is the
 //! active dispatch target.
+//!
+//! Deliberate re-pin: the factors store `D_i^{-1}` instead of `LU(D_i)`,
+//! so the replay's diagonal step is a GEMM. That moves the solution
+//! bytes, and setup charges one `M x M` inverse per stored diagonal (and
+//! per non-first rank's boundary diagonal), which moves the setup clock
+//! and the flop counter. Solve clocks, message/byte counts, overlap, PCR
+//! and collectives are unchanged.
 
 use bt_ard::driver::{ard_solve_cfg_on, pcr_solve_cfg_on, DriverConfig};
 use bt_ard::state::{ArdRankFactors, RankSystem};
@@ -72,10 +79,10 @@ fn ard_driver_is_bitwise_pinned() {
     let total = out.stats.total();
 
     if pinned_isa() {
-        assert_eq!(x_hash, 0x835a_b4ea_25bb_5037, "ARD solution bytes drifted");
+        assert_eq!(x_hash, 0xbd22_a3e5_1f57_d1f2, "ARD solution bytes drifted");
     }
     assert_eq!(
-        setup_bits, 0x3f00_7e46_64ba_d604,
+        setup_bits, 0x3f00_8b52_28f8_b9e9,
         "modeled setup clock drifted"
     );
     assert_eq!(
@@ -88,7 +95,7 @@ fn ard_driver_is_bitwise_pinned() {
         (100, 6960),
         "message/byte counters drifted"
     );
-    assert_eq!(total.flops, 46818, "flop counter drifted");
+    assert_eq!(total.flops, 48708, "flop counter drifted");
 }
 
 /// The PR 5 pipelined path: tiled replay with nonblocking receives,
@@ -117,13 +124,13 @@ fn tiled_replay_is_bitwise_pinned() {
     }
     if pinned_isa() {
         assert_eq!(
-            h, 0x5451_f938_24d8_169d,
+            h, 0xc33a_9872_6ad9_4983,
             "tiled replay solution bytes drifted"
         );
     }
     assert_eq!(
         out.modeled_seconds.to_bits(),
-        0x3f02_e474_8e66_427b,
+        0x3f02_ebb3_fb6c_32de,
         "modeled wall clock drifted"
     );
     assert_eq!(

@@ -225,6 +225,7 @@ mod tests {
 
     #[test]
     fn panel_solve_bitwise_identical_across_thread_budgets() {
+        let _isa = crate::dispatch_lock();
         use crate::threading::with_thread_budget;
         let a = spd(50, &mut rng(9));
         let ch = CholFactors::factor(&a).unwrap();

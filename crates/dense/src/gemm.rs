@@ -774,6 +774,7 @@ mod tests {
 
     #[test]
     fn packed_bitwise_identical_across_thread_budgets() {
+        let _isa = crate::dispatch_lock();
         // Both parallel macro-loop splits (jc for wide C, ic for tall C)
         // must preserve the per-element summation order exactly.
         for &(m, k, n) in &[(96, 300, 200), (400, 150, 40)] {
@@ -791,6 +792,7 @@ mod tests {
 
     #[test]
     fn packed_f32_bitwise_identical_across_thread_budgets() {
+        let _isa = crate::dispatch_lock();
         // The ic-parallel row split aligns stripes to E::MR — exercise it
         // at the f32 tile height too.
         for &(m, k, n) in &[(96, 300, 200), (400, 150, 40)] {
@@ -976,6 +978,7 @@ mod tests {
 
     #[test]
     fn strided_views_parallel_paths_match_sequential() {
+        let _isa = crate::dispatch_lock();
         // The jc/ic-parallel packed paths must handle non-unit strides
         // (ldc > rows) and stay bitwise identical to one thread.
         let big_a = seq_mat(420, 320, 0.31);

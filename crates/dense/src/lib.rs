@@ -52,6 +52,16 @@ pub mod threading;
 pub mod view;
 pub mod workspace;
 
+/// Serializes the unit tests that change the process-global kernel
+/// dispatch ([`simd::force`]) with those that compare two runs bitwise:
+/// a `force` between the runs would switch the ISA under them.
+#[cfg(test)]
+pub(crate) fn dispatch_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use batch::{batch_gemm, batch_lu_factor, batch_lu_solve, BatchMat, BatchSingularError};
 pub use cholesky::{cholesky_flops, CholFactors};
 pub use element::{AnyMat, AnyVec, Element};

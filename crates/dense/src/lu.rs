@@ -534,6 +534,7 @@ mod tests {
 
     #[test]
     fn panel_solve_bitwise_identical_across_thread_budgets() {
+        let _isa = crate::dispatch_lock();
         use crate::threading::with_thread_budget;
         // Wide enough panel (n^2 * r flops) to take the parallel path.
         let n = 60;
@@ -571,6 +572,7 @@ mod tests {
 
     #[test]
     fn f32_wide_panel_solve_bitwise_identical_across_thread_budgets() {
+        let _isa = crate::dispatch_lock();
         use crate::threading::with_thread_budget;
         let n = 60;
         let a32 = test_mat(n, 1.7).convert::<f32>();

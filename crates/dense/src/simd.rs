@@ -1987,12 +1987,7 @@ mod tests {
     use super::*;
     use crate::mat::Mat;
 
-    /// Serializes tests that touch the process-global dispatch state.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use crate::dispatch_lock as lock;
 
     /// Restores the previously active ISA on drop.
     struct IsaGuard(Isa);

@@ -38,7 +38,7 @@ fn main() {
             let y_local: Vec<_> = (sys.lo..sys.hi)
                 .map(|i| rhs_panel(m, r, 1000 + batch, i))
                 .collect();
-            let x_local = factors.solve_replay(comm, &y_local);
+            let x_local = factors.solve_replay(comm, y_local);
             local_sum += x_local
                 .iter()
                 .map(|panel| panel.as_slice().iter().sum::<f64>())

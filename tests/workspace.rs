@@ -41,8 +41,8 @@ fn warm_replay_zero_checkouts(src: &(impl BlockRowSource + Sync), p: usize, r: u
         // pre-workspace call pattern: fresh output panels every call).
         let y0 = batch(0);
         let y1 = batch(1);
-        let x0_ref = factors.solve_replay(comm, &y0);
-        let x1_ref = factors.solve_replay(comm, &y1);
+        let x0_ref = factors.solve_replay(comm, y0.clone());
+        let x1_ref = factors.solve_replay(comm, y1.clone());
 
         // Warm-up done (two batches through every branch of the path).
         let warm = factors.workspace_stats();
