@@ -215,11 +215,18 @@ pub struct DriverConfig {
     /// counters are unaffected. Defaults to the `BT_DENSE_THREADS`
     /// environment variable, or 1 when unset.
     pub threads_per_rank: usize,
+    /// RHS tile width for the accelerated replay's scan pipeline;
+    /// `None` lets the cost model pick it per batch. Numerics are
+    /// bitwise identical for every tile, only the modeled clocks move.
+    /// Defaults to the `BT_ARD_RHS_TILE` environment variable (unset or
+    /// `0` means `None`). Ignored by the other drivers.
+    pub rhs_tile: Option<usize>,
 }
 
 impl DriverConfig {
     /// Default configuration: cluster cost model, exact-scan boundary,
-    /// `BT_DENSE_THREADS` (default 1) intra-rank threads.
+    /// `BT_DENSE_THREADS` (default 1) intra-rank threads, and the
+    /// `BT_ARD_RHS_TILE` replay tile (default: the cost model's).
     pub fn new(p: usize) -> Self {
         Self {
             p,
@@ -227,6 +234,7 @@ impl DriverConfig {
             boundary: BoundaryMode::ExactScan,
             lean: false,
             threads_per_rank: bt_dense::threading::default_threads(),
+            rhs_tile: crate::state::env_rhs_tile(),
         }
     }
 
@@ -252,6 +260,13 @@ impl DriverConfig {
     /// Enables memory-lean accelerated solves.
     pub fn with_lean(mut self) -> Self {
         self.lean = true;
+        self
+    }
+
+    /// Pins the accelerated replay's RHS tile width, overriding
+    /// `BT_ARD_RHS_TILE` (see [`DriverConfig::rhs_tile`]).
+    pub fn with_rhs_tile(mut self, tile: usize) -> Self {
+        self.rhs_tile = Some(tile);
         self
     }
 }
@@ -488,11 +503,7 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                         let _span = bt_obs::span_with("solver", "solve_batch", || {
                             format!("{{\"algo\":\"ard\",\"batch\":{bi}}}")
                         });
-                        let x = if cfg.lean {
-                            factors.solve_replay_lean(comm, y_local)
-                        } else {
-                            factors.solve_replay(comm, y_local)
-                        };
+                        let x = factors.solve_replay_with(comm, y_local, cfg.lean, cfg.rhs_tile);
                         comm.barrier();
                         out.solve_wall.push(t0.elapsed());
                         out.solve_vt.push(comm.virtual_time() - vt0);

@@ -688,15 +688,8 @@ impl<E: Element> ArdRankFactors<E> {
     ///
     /// Panics if setup was run with `record_traces = false`, or on panel
     /// shape mismatch.
-    pub fn solve_replay<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        mut y_local: Vec<Mat<E>>,
-    ) -> Vec<Mat<E>> {
-        let r = self.check_panels(&y_local);
-        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
-        self.solve_in_place(comm, &mut y_local, true, tile);
-        y_local
+    pub fn solve_replay<C: CommBackend>(&self, comm: &mut C, y_local: Vec<Mat<E>>) -> Vec<Mat<E>> {
+        self.solve_replay_with(comm, y_local, false, env_rhs_tile())
     }
 
     /// [`ArdRankFactors::solve_replay`] writing into caller-provided
@@ -768,11 +761,29 @@ impl<E: Element> ArdRankFactors<E> {
     pub fn solve_replay_lean<C: CommBackend>(
         &self,
         comm: &mut C,
+        y_local: Vec<Mat<E>>,
+    ) -> Vec<Mat<E>> {
+        self.solve_replay_with(comm, y_local, true, env_rhs_tile())
+    }
+
+    /// By-value body of [`ArdRankFactors::solve_replay`] (`lean =
+    /// false`) and [`ArdRankFactors::solve_replay_lean`]: solves the
+    /// panels in place at RHS tile width `tile`, or the cost model's
+    /// choice when `None`. Output is bitwise identical for every tile.
+    pub(crate) fn solve_replay_with<C: CommBackend>(
+        &self,
+        comm: &mut C,
         mut y_local: Vec<Mat<E>>,
+        lean: bool,
+        tile: Option<usize>,
     ) -> Vec<Mat<E>> {
         let r = self.check_panels(&y_local);
-        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
-        self.lean_in_place(comm, &mut y_local, tile);
+        let tile = tile.unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), self.m, r));
+        if lean {
+            self.lean_in_place(comm, &mut y_local, tile);
+        } else {
+            self.solve_in_place(comm, &mut y_local, true, tile);
+        }
         y_local
     }
 
@@ -1032,19 +1043,28 @@ impl<E: Element> ReplayFactors<E> for ArdRankFactors<E> {
 /// `BT_ARD_RHS_TILE` override when set (`0`/unset means auto), else the
 /// cost-model calibration in [`crate::scans::auto_rhs_tile`].
 pub(crate) fn resolve_rhs_tile<C: CommBackend, E: Element>(comm: &C, m: usize, r: usize) -> usize {
+    env_rhs_tile().unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), m, r))
+}
+
+/// The `BT_ARD_RHS_TILE` override, parsed once per process: `None` when
+/// unset, `0` or malformed (the cost model then picks the tile).
+pub(crate) fn env_rhs_tile() -> Option<usize> {
     static ENV_TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    let env = *ENV_TILE.get_or_init(|| {
+    *ENV_TILE.get_or_init(|| {
         std::env::var("BT_ARD_RHS_TILE")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&t| t > 0)
-    });
-    env.unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), m, r))
+    })
 }
 
 /// `h_i = D_i^{-1} z_i` over every panel, in place: one `M x M · M x R`
-/// GEMM per row against the stored inverse, staged through a single
-/// pooled scratch panel (a GEMM cannot overwrite its operand).
+/// GEMM per row against the stored inverse. A GEMM cannot overwrite its
+/// operand, so each product lands in one pooled scratch panel that then
+/// swaps places with the row's panel: the old panel becomes the scratch
+/// for the next row, and no panel is ever copied. The scratch is taken
+/// at exact size, so the buffer that leaves the pool in the solution is
+/// the size of the one that returns.
 fn diag_solve_in_place<C: CommBackend, E: Element, F: ReplayFactors<E>>(
     factors: &F,
     comm: &mut C,
@@ -1053,21 +1073,21 @@ fn diag_solve_in_place<C: CommBackend, E: Element, F: ReplayFactors<E>>(
 ) {
     let _span = bt_obs::span("solver", "solve.diag");
     let (m, r) = panels[0].shape();
-    let mut z = ws.take(m, r);
-    for (k, hk) in panels.iter_mut().enumerate() {
-        z.as_mut().copy_from(hk.as_ref());
+    let mut h = ws.take_exact(m, r);
+    for (k, zk) in panels.iter_mut().enumerate() {
         gemm(
             E::ONE,
             factors.d_inv_at(k),
             Trans::No,
-            &z,
+            &*zk,
             Trans::No,
             E::ZERO,
-            hk,
+            &mut h,
         );
+        std::mem::swap(zk, &mut h);
         comm.compute(gemm_flops(m, m, r));
     }
-    ws.put(z);
+    ws.put(h);
 }
 
 /// The boundary-value replay body, shared by

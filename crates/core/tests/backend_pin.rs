@@ -63,9 +63,13 @@ fn hash_blockvecs(xs: &[BlockVec]) -> u64 {
 fn ard_driver_is_bitwise_pinned() {
     let src = ClusteredToeplitz::standard(32, 3, 7);
     let batches: Vec<BlockVec> = (0..2).map(|s| random_rhs(32, 3, 5, 40 + s)).collect();
+    // Tile = R pins the scan pipeline to the cost model's own choice for
+    // R <= 16, so the modeled solve clocks hold under any
+    // `BT_ARD_RHS_TILE`.
     let cfg = DriverConfig::new(4)
         .with_model(CostModel::cluster())
-        .with_threads_per_rank(1);
+        .with_threads_per_rank(1)
+        .with_rhs_tile(5);
     let out = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
 
     let x_hash = hash_blockvecs(&out.x);

@@ -78,19 +78,13 @@ pub trait Element:
     const NR: usize;
     /// Packed-vs-AXPY GEMM crossover on SIMD dispatch paths, in flops
     /// (`2 m k n`). Measured for f64 (see `BENCH_gemm.json`); the f32
-    /// value starts from the same sweep methodology.
+    /// value starts from the same sweep methodology. It governs only
+    /// products whose A is not a square block of order 4, 8 or 16: those
+    /// always take the small-block kernels, at any width.
     const PACKED_MIN_FLOPS_SIMD: usize;
-    /// Packed-vs-AXPY crossover on the scalar fallback path.
+    /// Packed-vs-AXPY crossover on the scalar fallback path (same scope
+    /// as [`Element::PACKED_MIN_FLOPS_SIMD`]).
     const PACKED_MIN_FLOPS_SCALAR: usize;
-    /// Whether wide multi-RHS triangular panel solves take the
-    /// row-oriented sweep (`LuFactors` transposes the panel so every
-    /// elimination step is one AXPY across the full panel width instead
-    /// of a length-`<= n` column fragment). `f32` opts in — block orders
-    /// are small (`M ~ 8`), so the column sweep's AXPYs never fill the
-    /// 8-lane `f32` FMA vectors and the half-width path would see no
-    /// speedup. `f64` stays on the per-column sweep, keeping its solver
-    /// bit patterns identical to the original `f64`-only implementation.
-    const WIDE_PANEL_SOLVE: bool;
 
     /// Conversion from `f64` (rounds for `f32`; identity for `f64`).
     fn from_f64(v: f64) -> Self;
@@ -117,7 +111,8 @@ pub trait Element:
     fn simd_dot(x: &[Self], y: &[Self]) -> Self;
     /// Packed `MR x NR` microkernel; `acc` must hold `MR * NR` elements.
     fn simd_microkernel(kb: usize, pa: &[Self], pb: &[Self], acc: &mut [Self]);
-    /// Whole-block small-M GEMM; returns `false` for unsupported shapes.
+    /// Small-block `M x M · M x N` GEMM (`M` in {4, 8, 16}, any `N`);
+    /// returns `false` for unsupported shapes.
     fn simd_gemm_small(
         alpha: Self,
         a: MatRef<'_, Self>,
@@ -161,15 +156,14 @@ impl Element for f64 {
     // the (also FMA-vectorized) AXPY kernel at every swept size from
     // m = k = n = 8 (1 kflop, 1.08x) through m = 256 (3.7x), while AXPY
     // wins at m = 4 (128 flop, 2.2x — the pack pass dominates). 512 flops
-    // splits that gap.
+    // splits that gap. (The swept cubes at m = 4, 8 and 16 now take the
+    // small-block kernels instead; the crossover still places every
+    // other order.)
     const PACKED_MIN_FLOPS_SIMD: usize = 512;
     // The same sweep under `BT_DENSE_SIMD=0` shows the autovectorized
     // AXPY loop winning through m = 48 and the scalar microkernel taking
     // over from m = 63; the crossover sits right at `2 * 63^3`.
     const PACKED_MIN_FLOPS_SCALAR: usize = 500_000;
-    // Frozen bit patterns: every pre-existing f64 result is pinned by
-    // downstream tests, so f64 keeps the original per-column sweep.
-    const WIDE_PANEL_SOLVE: bool = false;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
@@ -286,10 +280,6 @@ impl Element for f32 {
     // per-ISA crossover.
     const PACKED_MIN_FLOPS_SIMD: usize = 512;
     const PACKED_MIN_FLOPS_SCALAR: usize = 500_000;
-    // At M ~ 8 block orders the column sweep's AXPYs are at most 8 long
-    // and spend everything on dispatch; the row sweep's panel-width
-    // AXPYs are what make the half-width replay actually fast.
-    const WIDE_PANEL_SOLVE: bool = true;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {

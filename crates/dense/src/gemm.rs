@@ -5,9 +5,10 @@
 //! either operand, dispatched over three kernels by measured crossover
 //! (see the [`Element`] crossover constants):
 //!
-//! * [`gemm_small`] — fully unrolled whole-block kernels for exact
-//!   `M x M x M` products with `M` in {4, 8, 16}, the block orders that
-//!   dominate ARD workloads. No packing, no blocking loops.
+//! * [`gemm_small`] — fully unrolled, register-tiled kernels for every
+//!   `M x M · M x N` product with `M` in {4, 8, 16}, the block orders
+//!   that dominate ARD workloads (the replay and the block-Thomas solve
+//!   are made of nothing else). No packing, no blocking loops; any `N`.
 //! * [`gemm_axpy`] — a lean cache-blocked j-k-i kernel whose AXPY inner
 //!   loops go through the runtime-dispatched SIMD primitives
 //!   ([`crate::simd`]).
@@ -30,11 +31,12 @@
 //! buffers ([`Element::with_pack_bufs`]), so warm calls on a given
 //! thread allocate nothing.
 //!
-//! Both kernels accumulate every term unconditionally (no zero
+//! Every kernel accumulates every term unconditionally (no zero
 //! short-circuits), so non-finite inputs propagate into the output as
-//! IEEE-754 dictates. Both also fix the per-element summation order
-//! independently of blocking and thread count: for a given problem the
-//! result is bitwise identical whether the kernel runs on 1 thread or 16.
+//! IEEE-754 dictates. Each also fixes the per-element summation order
+//! independently of blocking, column tiling and thread count: for a
+//! given problem the result is bitwise identical whether the kernel runs
+//! on 1 thread or 16.
 
 use crate::element::Element;
 use crate::mat::Mat;
@@ -79,8 +81,10 @@ impl Trans {
     }
 }
 
-/// Column block width shared by both kernels (`NC` in BLIS terms): a
-/// `KC x NB` panel of B plus a column stripe of A stay cache-resident.
+/// Column block width shared by the packed and AXPY kernels (`NC` in
+/// BLIS terms): a `KC x NB` panel of B plus a column stripe of A stay
+/// cache-resident. Also the stripe width of the threaded small-block
+/// kernel.
 const NB: usize = 64;
 /// Inner (k) blocking depth (`KC`).
 const KC: usize = 128;
@@ -203,8 +207,7 @@ fn transpose_of<E: Element>(v: MatRef<'_, E>) -> Mat<E> {
 /// `C += alpha * A * B` for plain column-major operands: dispatches
 /// between the small-block, packed and AXPY kernels on problem shape
 /// and size (measured crossover — see the `Element` crossover consts).
-fn gemm_nn<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut c: MatMut<'_, E>) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+fn gemm_nn<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, c: MatMut<'_, E>) {
     let isa = simd::active();
     if bt_obs::enabled() {
         OBS_DISPATCH_ISA.set(f64::from(isa.index()));
@@ -212,42 +215,97 @@ fn gemm_nn<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut c: MatM
             OBS_SIMD_CALLS.incr();
         }
     }
-    if m == n && E::simd_gemm_small(alpha, a, b, &mut c) {
-        OBS_SMALL_CALLS.incr();
-        OBS_GEMM_FLOPS.add(gemm_flops(m, k, n));
-        return;
-    }
-    let packed_min = if isa == Isa::Scalar {
-        E::PACKED_MIN_FLOPS_SCALAR
-    } else {
-        E::PACKED_MIN_FLOPS_SIMD
-    };
-    if 2 * m * k * n >= packed_min {
-        gemm_packed_ref(alpha, a, b, c);
-    } else {
-        gemm_axpy_ref(alpha, a, b, c);
-    }
+    plan_for::<E>(isa, a.rows(), a.cols(), b.cols()).apply(alpha, a, b, c);
 }
 
-/// Whole-block `C += alpha * A * B` for exact `M x M` operands with
-/// `M` in {4, 8, 16} — the fully unrolled small-block specialization
-/// the dispatcher prefers for ARD-sized blocks. Returns `false` without
-/// touching `C` when the shape is not an exact small block (callers
-/// fall back to [`gemm`]); exposed so benches can time it against the
-/// other kernels directly.
+/// Small-block `C += alpha * A * B` for an `M x M` A with `M` in
+/// {4, 8, 16} and `M x N` B and C of any width — the unpacked,
+/// register-tiled kernel the dispatcher prefers for every product
+/// against an ARD-sized block. Returns `false` without touching `C`
+/// when the shape does not qualify (callers fall back to [`gemm`]);
+/// exposed so benches can time it against the other kernels directly.
 pub fn gemm_small<'a, 'b, 'c, E: Element>(
     alpha: E,
     a: impl Into<MatRef<'a, E>>,
     b: impl Into<MatRef<'b, E>>,
     c: impl Into<MatMut<'c, E>>,
 ) -> bool {
-    let (a, b, mut c) = (a.into(), b.into(), c.into());
-    let hit = E::simd_gemm_small(alpha, a, b, &mut c);
+    let (a, b, c) = (a.into(), b.into(), c.into());
+    let hit = simd::small_shape(a, b, &c);
     if hit {
-        OBS_SMALL_CALLS.incr();
-        OBS_GEMM_FLOPS.add(gemm_flops(a.rows(), a.rows(), a.rows()));
+        gemm_small_ref(alpha, a, b, c);
     }
     hit
+}
+
+/// Runs the small-block kernel over `C`, splitting the columns across
+/// the calling thread's budget in `NB`-aligned stripes when there is
+/// more than one stripe (the packed kernel's `jc` split). Columns are
+/// independent, so the result is bitwise the same for any budget.
+///
+/// # Panics
+///
+/// Panics if the shape is not a small-block product.
+fn gemm_small_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, c: MatMut<'_, E>) {
+    let (m, n) = (a.rows(), b.cols());
+    OBS_SMALL_CALLS.incr();
+    OBS_GEMM_FLOPS.add(gemm_flops(m, m, n));
+    let run = |b: MatRef<'_, E>, mut c: MatMut<'_, E>| {
+        assert!(
+            E::simd_gemm_small(alpha, a, b, &mut c),
+            "small-block kernel rejected a {m}x{}x{} product",
+            a.cols(),
+            b.cols()
+        );
+    };
+    let threads = threading::current_threads();
+    if threads > 1 && n > NB {
+        let ldc = c.col_stride();
+        column_stripes_parallel(c.data, ldc, n, threads, |j0, ncols, chunk| {
+            run(
+                b.submatrix(0, j0, m, ncols),
+                MatMut::from_parts(chunk, m, ncols, ldc),
+            );
+        });
+    } else {
+        run(b, c);
+    }
+}
+
+/// Runs `stripe(j0, ncols, chunk)` over the `NB`-aligned column stripes
+/// of an `n`-column output with backing buffer `c` and column stride
+/// `ldc`, spread over at most `threads` rayon tasks (the `jc` split of
+/// the packed and small-block kernels). The buffer is split at column
+/// boundaries (columns never interleave in column-major storage,
+/// whatever the stride), so each task owns a contiguous sub-slice whose
+/// first element is `C[0, j0]`; the split points match the sequential
+/// stripe order exactly.
+fn column_stripes_parallel<E: Element>(
+    c: &mut [E],
+    ldc: usize,
+    n: usize,
+    threads: usize,
+    stripe: impl Fn(usize, usize, &mut [E]) + Sync,
+) {
+    let jc_blocks = n.div_ceil(NB);
+    let cols_per = jc_blocks.div_ceil(threads.min(jc_blocks)) * NB;
+    let stripe = &stripe;
+    let mut rest = c;
+    rayon::scope(|s| {
+        let mut j0 = 0;
+        while j0 < n {
+            let ncols = cols_per.min(n - j0);
+            let split = if j0 + ncols < n {
+                ncols * ldc
+            } else {
+                rest.len()
+            };
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(split);
+            rest = tail;
+            s.spawn(move |_| stripe(j0, ncols, chunk));
+            j0 += ncols;
+        }
+    });
 }
 
 /// A kernel choice frozen from a *full* problem shape, applicable to
@@ -255,25 +313,34 @@ pub fn gemm_small<'a, 'b, 'c, E: Element>(
 ///
 /// The dispatcher in [`gemm`] picks packed vs. AXPY from `2*m*k*n`, so
 /// naively calling `gemm` per column-tile of a wide panel can cross the
-/// crossover threshold (or, for square tiles, hit the small-block
-/// kernels) and change the kernel — and with it the bitwise result —
-/// as a function of the tile width. `ColsplitPlan` freezes the decision
-/// once, from the full `(m, k, n)`: both selectable kernels accumulate
-/// each output column independently in fixed `k`-order (packed's NR
-/// zero-padding is inert, AXPY's column loop is outermost), so applying
-/// the same plan tile-by-tile is bitwise identical to one full-width
-/// call. Used by the RHS-tiled replay pipeline in bt-ard.
-///
-/// The small-block kernels are deliberately never chosen: they require
-/// exact `M x M` shapes, which a partial tile cannot guarantee.
+/// crossover threshold and change the kernel — and with it the bitwise
+/// result — as a function of the tile width. `ColsplitPlan` freezes the
+/// decision once, from the full `(m, k, n)`: every selectable kernel
+/// accumulates each output column independently in fixed `k`-order
+/// (the small-block kernels by construction, packed's NR zero-padding
+/// is inert, AXPY's column loop is outermost), so applying the same
+/// plan tile-by-tile is bitwise identical to one full-width call. Used
+/// by the RHS-tiled replay pipeline in bt-ard, and by [`gemm`] itself,
+/// so a full-width `gemm` and a tiled plan agree bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColsplitPlan {
-    packed: bool,
+    kernel: Kernel,
 }
 
-/// Freezes the packed-vs-AXPY kernel choice for the full `(m, k, n)`
-/// problem at the default `f64` element type, for column-tiled
-/// application via [`ColsplitPlan::apply`].
+/// The three `C += alpha * A * B` kernels a [`ColsplitPlan`] can freeze.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Unpacked register-tiled kernel, `M x M` A with `M` in {4, 8, 16}.
+    Small,
+    /// BLIS-style packed kernel.
+    Packed,
+    /// Cache-blocked AXPY kernel.
+    Axpy,
+}
+
+/// Freezes the kernel choice for the full `(m, k, n)` problem at the
+/// default `f64` element type, for column-tiled application via
+/// [`ColsplitPlan::apply`].
 pub fn colsplit_plan(m: usize, k: usize, n: usize) -> ColsplitPlan {
     colsplit_plan_for::<f64>(m, k, n)
 }
@@ -282,14 +349,26 @@ pub fn colsplit_plan(m: usize, k: usize, n: usize) -> ColsplitPlan {
 /// constants are per-precision, so a plan frozen for `f32` tiles must be
 /// frozen with `f32`'s thresholds.
 pub fn colsplit_plan_for<E: Element>(m: usize, k: usize, n: usize) -> ColsplitPlan {
-    let packed_min = if simd::active() == Isa::Scalar {
+    plan_for::<E>(simd::active(), m, k, n)
+}
+
+/// The dispatch rule: small-block kernels for every `M x M` A with `M`
+/// in {4, 8, 16}; otherwise packed from the ISA's flop crossover up,
+/// AXPY below it.
+fn plan_for<E: Element>(isa: Isa, m: usize, k: usize, n: usize) -> ColsplitPlan {
+    let packed_min = if isa == Isa::Scalar {
         E::PACKED_MIN_FLOPS_SCALAR
     } else {
         E::PACKED_MIN_FLOPS_SIMD
     };
-    ColsplitPlan {
-        packed: 2 * m * k * n >= packed_min,
-    }
+    let kernel = if simd::is_small_block(m, k) {
+        Kernel::Small
+    } else if 2 * m * k * n >= packed_min {
+        Kernel::Packed
+    } else {
+        Kernel::Axpy
+    };
+    ColsplitPlan { kernel }
 }
 
 impl ColsplitPlan {
@@ -306,10 +385,11 @@ impl ColsplitPlan {
         b: impl Into<MatRef<'b, E>>,
         c: impl Into<MatMut<'c, E>>,
     ) {
-        if self.packed {
-            gemm_packed_ref(alpha, a.into(), b.into(), c.into());
-        } else {
-            gemm_axpy_ref(alpha, a.into(), b.into(), c.into());
+        let (a, b, c) = (a.into(), b.into(), c.into());
+        match self.kernel {
+            Kernel::Small => gemm_small_ref(alpha, a, b, c),
+            Kernel::Packed => gemm_packed_ref(alpha, a, b, c),
+            Kernel::Axpy => gemm_axpy_ref(alpha, a, b, c),
         }
     }
 }
@@ -406,33 +486,10 @@ fn gemm_packed_ref<E: Element>(alpha: E, a: MatRef<'_, E>, b: MatRef<'_, E>, mut
     let jc_blocks = n.div_ceil(NB);
 
     if threads > 1 && jc_blocks > 1 {
-        // jc-parallel: disjoint NB-aligned column stripes of C. The
-        // backing buffer is split at column boundaries (columns never
-        // interleave in column-major storage, whatever the stride), so
-        // each thread owns a contiguous sub-slice. The split points
-        // match the sequential stripe order exactly.
-        let t = threads.min(jc_blocks);
-        let cols_per = jc_blocks.div_ceil(t) * NB;
-        // Partial move of the view's fields (MatMut has no Drop): the
-        // raw buffer is what gets carved up across threads.
-        let mut rest = c.data;
-        rayon::scope(|s| {
-            let mut j0 = 0;
-            while j0 < n {
-                let ncols = cols_per.min(n - j0);
-                let split = if j0 + ncols < n {
-                    ncols * ldc
-                } else {
-                    rest.len()
-                };
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(split);
-                rest = tail;
-                let b_chunk = &b_buf[j0 * ldb..];
-                s.spawn(move |_| {
-                    packed_stripe(alpha, a_buf, lda, 0, m, k, b_chunk, ldb, ncols, chunk, ldc);
-                });
-                j0 += ncols;
-            }
+        // jc-parallel: disjoint NB-aligned column stripes of C.
+        column_stripes_parallel(c.data, ldc, n, threads, |j0, ncols, chunk| {
+            let b_chunk = &b_buf[j0 * ldb..];
+            packed_stripe(alpha, a_buf, lda, 0, m, k, b_chunk, ldb, ncols, chunk, ldc);
         });
     } else if threads > 1 && m >= 2 * IC_MIN_ROWS {
         // ic-parallel: disjoint row stripes. Column-major C rows
@@ -1035,8 +1092,7 @@ mod tests {
         // Column-tiled application of a frozen plan must reproduce the
         // full-width product bit for bit, for every tile width — the
         // invariant the RHS-tiled replay pipeline rests on. Shapes span
-        // both sides of the packed crossover, including square m == n
-        // cases the top-level dispatcher would send to the small kernels.
+        // both sides of the packed crossover and the small-block kernels.
         for &(m, k, n) in &[(4, 4, 4), (8, 8, 8), (5, 7, 23), (16, 16, 64), (32, 32, 33)] {
             let a = seq_mat(m, k, 0.3);
             let b = seq_mat(k, n, 0.7);
@@ -1090,10 +1146,114 @@ mod tests {
     }
 
     #[test]
+    fn colsplit_small_plan_tiled_matches_full_width_gemm() {
+        let _isa = crate::dispatch_lock();
+        // A small-block plan applied tile by tile reproduces one
+        // full-width `gemm` call bit for bit, at both precisions and
+        // with ragged tile tails against every register-tile width.
+        for &(m, n) in &[(4, 17), (4, 64), (8, 9), (8, 64), (16, 65), (16, 3)] {
+            let a = seq_mat(m, m, 0.3);
+            let b = seq_mat(m, n, 0.7);
+            let c0 = seq_mat(m, n, 0.1);
+            let plan = colsplit_plan(m, m, n);
+            assert_eq!(plan.kernel, Kernel::Small);
+            let mut full = c0.clone();
+            gemm(-0.75, &a, Trans::No, &b, Trans::No, 1.0, &mut full);
+            let (a32, b32) = (a.convert::<f32>(), b.convert::<f32>());
+            let mut full32 = c0.convert::<f32>();
+            gemm(-0.75f32, &a32, Trans::No, &b32, Trans::No, 1.0, &mut full32);
+            for tile in [1, 2, 3, 5, 7, n] {
+                let mut tiled = c0.clone();
+                let mut tiled32 = c0.convert::<f32>();
+                let mut c0 = 0;
+                while c0 < n {
+                    let w = tile.min(n - c0);
+                    plan.apply(
+                        -0.75,
+                        &a,
+                        b.as_ref().submatrix(0, c0, m, w),
+                        tiled.as_mut().submatrix_mut(0, c0, m, w),
+                    );
+                    plan.apply(
+                        -0.75f32,
+                        &a32,
+                        b32.as_ref().submatrix(0, c0, m, w),
+                        tiled32.as_mut().submatrix_mut(0, c0, m, w),
+                    );
+                    c0 += w;
+                }
+                assert_eq!(full, tiled, "{m}x{m}x{n} tile={tile}");
+                assert_eq!(full32, tiled32, "f32 {m}x{m}x{n} tile={tile}");
+            }
+        }
+    }
+
+    #[test]
+    fn small_kernel_bitwise_identical_across_thread_budgets() {
+        let _isa = crate::dispatch_lock();
+        // Wide small-block products split into NB-aligned column stripes
+        // under a budget > 1; strided operands and output included.
+        for &(m, n) in &[(4, 300), (8, 129), (16, 200), (16, 64)] {
+            let big_a = seq_mat(m + 3, m + 2, 0.17);
+            let big_b = seq_mat(m + 5, n + 1, 0.59);
+            let a = big_a.submatrix(2, 1, m, m);
+            let b = big_b.submatrix(4, 1, m, n);
+            let mut c1 = seq_mat(m + 2, n + 3, 0.23);
+            let c_orig = c1.clone();
+            with_thread_budget(1, || {
+                gemm(
+                    1.25,
+                    a,
+                    Trans::No,
+                    b,
+                    Trans::No,
+                    1.0,
+                    c1.submatrix_mut(1, 2, m, n),
+                );
+            });
+            let (a32, b32) = (a.to_mat().convert::<f32>(), b.to_mat().convert::<f32>());
+            let mut c1_32 = Mat::<f32>::zeros(m, n);
+            with_thread_budget(1, || {
+                gemm(1.25f32, &a32, Trans::No, &b32, Trans::No, 0.0, &mut c1_32)
+            });
+            for t in [2, 3, 5] {
+                let mut ct = c_orig.clone();
+                with_thread_budget(t, || {
+                    gemm(
+                        1.25,
+                        a,
+                        Trans::No,
+                        b,
+                        Trans::No,
+                        1.0,
+                        ct.submatrix_mut(1, 2, m, n),
+                    );
+                });
+                assert_eq!(c1, ct, "budget {t} changed bits for {m}x{m}x{n}");
+                let mut ct32 = Mat::<f32>::zeros(m, n);
+                with_thread_budget(t, || {
+                    gemm(1.25f32, &a32, Trans::No, &b32, Trans::No, 0.0, &mut ct32);
+                });
+                assert_eq!(c1_32, ct32, "budget {t} changed f32 bits for {m}x{m}x{n}");
+            }
+        }
+    }
+
+    #[test]
     fn colsplit_plan_matches_dispatch_threshold() {
+        let kernel = |m, k, n| colsplit_plan(m, k, n).kernel;
         // Tiny problem: AXPY side of the crossover on every ISA.
-        assert_eq!(colsplit_plan(2, 2, 2), ColsplitPlan { packed: false });
+        assert_eq!(kernel(2, 2, 2), Kernel::Axpy);
         // Huge problem: packed on every ISA (2 * 128^3 > 500k).
-        assert_eq!(colsplit_plan(128, 128, 128), ColsplitPlan { packed: true });
+        assert_eq!(kernel(128, 128, 128), Kernel::Packed);
+        // Square A of a small-block order: the small kernel at every
+        // width, on every ISA; any other A keeps the flop crossover.
+        for n in [1, 16, 64, 4096] {
+            for m in [4, 8, 16] {
+                assert_eq!(kernel(m, m, n), Kernel::Small, "{m}x{m}x{n}");
+            }
+        }
+        assert_eq!(kernel(16, 8, 4096), Kernel::Packed);
+        assert_eq!(kernel(12, 12, 1), Kernel::Axpy);
     }
 }

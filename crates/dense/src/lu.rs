@@ -27,7 +27,8 @@ static OBS_LU_PANEL_NS: bt_obs::Histogram = bt_obs::Histogram::new("bt_dense.lu.
 
 /// Minimum panel width for the row-oriented sweep
 /// ([`LuFactors::solve_block_rowwise`]): one full 8-lane `f32` AVX2
-/// vector per AXPY. Narrower panels stay on the per-column sweep.
+/// vector (two 4-lane `f64` vectors) per AXPY. Narrower panels stay on
+/// the per-column sweep.
 const WIDE_SOLVE_MIN_COLS: usize = 8;
 
 /// Error returned when a factorization or solve encounters a singular (or
@@ -213,7 +214,7 @@ impl<E: Element> LuFactors<E> {
                 swap_rows_view(&mut b, k, p);
             }
         }
-        if E::WIDE_PANEL_SOLVE && b.is_contiguous() && b.cols() >= WIDE_SOLVE_MIN_COLS {
+        if b.is_contiguous() && b.cols() >= WIDE_SOLVE_MIN_COLS {
             crate::threading::for_each_column_block_parallel(b, 2 * n * n, |block, w| {
                 self.solve_block_rowwise(block, w);
             });
@@ -272,8 +273,15 @@ impl<E: Element> LuFactors<E> {
     /// `O(n^2 w)` sweep. Per element the arithmetic is the same fused
     /// multiply-add and divide sequence as [`Self::solve_column`] — the
     /// AXPY multiplier and vector swap roles, and IEEE products commute
-    /// exactly — so the orientation is a pure layout change. Enabled per
-    /// element type via [`Element::WIDE_PANEL_SOLVE`].
+    /// exactly — so for finite data the orientation is a pure layout
+    /// change. Only the skipped zero terms differ: the column sweep
+    /// skips a step whose RHS entry is zero, this sweep one whose factor
+    /// entry is zero. A skipped term is a signed zero, so the results
+    /// can differ in the sign of a zero, and, with an exact zero in the
+    /// factor and an Inf or NaN in the RHS, this sweep does not form
+    /// `0 * Inf`. Taken at both precisions for contiguous panels of at
+    /// least `WIDE_SOLVE_MIN_COLS` columns (the setup's `M x M`
+    /// inversions among them).
     fn solve_block_rowwise(&self, data: &mut [E], w: usize) {
         let n = self.order();
         debug_assert_eq!(data.len(), n * w);
@@ -553,36 +561,94 @@ mod tests {
         }
     }
 
-    #[test]
-    fn f32_wide_panel_solve_matches_column_sweep_exactly() {
-        // The row-oriented sweep is a pure layout change: per element it
-        // performs the same FMA/divide sequence as the per-column sweep,
-        // so the results agree bitwise. A strided output window forces
-        // the legacy per-column path for the reference.
-        for (n, r) in [(5, 8), (8, 24), (13, 24), (17, 9), (40, 16)] {
-            let a32 = test_mat(n, 0.6).convert::<f32>();
-            let lu = LuFactors::factor(&a32).unwrap();
-            let b = Mat::from_fn(n, r, |i, j| ((i * r + j) as f64 * 0.37).sin()).convert::<f32>();
-            let wide = lu.solve(&b);
-            let mut scratch = Mat::<f32>::zeros(n + 3, r + 2);
-            lu.solve_into(&b, scratch.submatrix_mut(1, 1, n, r));
-            assert_eq!(scratch.block(1, 1, n, r), wide, "n={n} r={r}");
+    /// Solves `b` twice with `lu`: once contiguous (the row-oriented
+    /// sweep when `b` has at least `WIDE_SOLVE_MIN_COLS` columns) and once
+    /// into a strided window (always the per-column sweep), and requires
+    /// the two to agree bit for bit. A NaN only has to meet a NaN: the
+    /// sweeps negate different FMA operands, so a NaN's sign may differ.
+    fn assert_wide_matches_column_sweep<E: Element>(lu: &LuFactors<E>, b: &Mat<E>, what: &str) {
+        let (n, r) = b.shape();
+        let wide = lu.solve(b);
+        let mut scratch = Mat::<E>::zeros(n + 3, r + 2);
+        lu.solve_into(b, scratch.submatrix_mut(1, 1, n, r));
+        for j in 0..r {
+            for i in 0..n {
+                let (w, c) = (wide.get(i, j).to_f64(), scratch.get(1 + i, 1 + j).to_f64());
+                if w.is_nan() || c.is_nan() {
+                    assert!(
+                        w.is_nan() && c.is_nan(),
+                        "{} {what} n={n} r={r} at ({i}, {j}): {w} vs {c}",
+                        E::NAME
+                    );
+                } else {
+                    assert_eq!(
+                        w.to_bits(),
+                        c.to_bits(),
+                        "{} {what} n={n} r={r} at ({i}, {j})",
+                        E::NAME
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn f32_wide_panel_solve_bitwise_identical_across_thread_budgets() {
-        let _isa = crate::dispatch_lock();
+    fn wide_panel_solve_matches_column_sweep_exactly() {
+        // The row-oriented sweep is a pure layout change: per element it
+        // performs the same FMA/divide sequence as the per-column sweep,
+        // so the results agree bitwise, at both precisions. A strided
+        // output window forces the per-column path for the reference.
+        for (n, r) in [(5, 8), (8, 24), (13, 24), (16, 16), (17, 9), (40, 16)] {
+            let a = test_mat(n, 0.6);
+            let b = Mat::from_fn(n, r, |i, j| ((i * r + j) as f64 * 0.37).sin());
+            assert_wide_matches_column_sweep(&LuFactors::factor(&a).unwrap(), &b, "panel");
+            let lu32 = LuFactors::factor(&a.convert::<f32>()).unwrap();
+            assert_wide_matches_column_sweep(&lu32, &b.convert::<f32>(), "panel");
+        }
+        // The identity panel of `LuFactors::inverse` (mostly zeros, so
+        // the two sweeps skip different terms) at the block orders the
+        // setup inverts.
+        for n in [8, 16, 17] {
+            let a = test_mat(n, 1.3);
+            let id = Mat::identity(n);
+            assert_wide_matches_column_sweep(&LuFactors::factor(&a).unwrap(), &id, "inverse");
+            let lu32 = LuFactors::factor(&a.convert::<f32>()).unwrap();
+            assert_wide_matches_column_sweep(&lu32, &id.convert::<f32>(), "inverse");
+        }
+        // Non-finite right-hand sides with a dense factor (no exact zero
+        // in L or U): Inf and NaN reach the same entries through both
+        // sweeps. (With an exact zero in the factor the row sweep skips
+        // that term and does not carry `0 * Inf` into the row.)
+        for (n, r) in [(8, 8), (16, 24)] {
+            let a = test_mat(n, 0.4);
+            let mut b = Mat::from_fn(n, r, |i, j| ((i * r + j) as f64 * 0.53).cos());
+            b.set(2, 1, f64::INFINITY);
+            b.set(n - 1, 3, f64::NAN);
+            b.set(0, r - 1, f64::NEG_INFINITY);
+            b.set(n / 2, r - 1, f64::INFINITY);
+            assert_wide_matches_column_sweep(&LuFactors::factor(&a).unwrap(), &b, "non-finite");
+            let lu32 = LuFactors::factor(&a.convert::<f32>()).unwrap();
+            assert_wide_matches_column_sweep(&lu32, &b.convert::<f32>(), "non-finite");
+        }
+    }
+
+    fn assert_wide_solve_thread_invariant<E: Element>() {
         use crate::threading::with_thread_budget;
         let n = 60;
-        let a32 = test_mat(n, 1.7).convert::<f32>();
-        let lu = LuFactors::factor(&a32).unwrap();
-        let b = Mat::from_fn(n, 24, |i, j| ((i * 24 + j) as f64 * 0.13).cos()).convert::<f32>();
+        let lu = LuFactors::factor(&test_mat(n, 1.7).convert::<E>()).unwrap();
+        let b = Mat::from_fn(n, 24, |i, j| ((i * 24 + j) as f64 * 0.13).cos()).convert::<E>();
         let x1 = with_thread_budget(1, || lu.solve(&b));
         for t in [2, 4, 7] {
             let xt = with_thread_budget(t, || lu.solve(&b));
-            assert_eq!(x1, xt, "budget {t} changed the f32 wide-solve bits");
+            assert_eq!(x1, xt, "budget {t} changed the {} wide-solve bits", E::NAME);
         }
+    }
+
+    #[test]
+    fn wide_panel_solve_bitwise_identical_across_thread_budgets() {
+        let _isa = crate::dispatch_lock();
+        assert_wide_solve_thread_invariant::<f64>();
+        assert_wide_solve_thread_invariant::<f32>();
     }
 
     #[test]

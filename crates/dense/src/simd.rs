@@ -3,7 +3,7 @@
 //! Every flop in the suite funnels through a handful of inner loops: the
 //! packed GEMM microkernel, the AXPY update (`y += w * x`) shared by
 //! `gemm_axpy`/`gemv`/the LU and Cholesky sweeps, the dot product of the
-//! transpose/backward sweeps, and the whole-block small-M GEMM
+//! transpose/backward sweeps, and the register-tiled small-M GEMM
 //! specializations. This module provides one explicitly vectorized
 //! implementation of each — at **both element widths**, `f64` and `f32`
 //! — selected **at runtime** from the CPU:
@@ -606,22 +606,45 @@ fn microkernel_scalar<E: Element, const MRC: usize, const NRC: usize>(
 }
 
 // ---------------------------------------------------------------------
-// Small-M whole-block GEMM specializations
+// Small-M register-tiled GEMM specializations (M x M · M x N)
 // ---------------------------------------------------------------------
 
-/// Block orders served by the whole-block kernels. These are the block
+/// Block orders served by the small-block kernels. These are the block
 /// sizes that dominate ARD workloads (DESIGN.md §6.8); the dispatcher in
-/// `gemm` routes exact `M x M x M` products here, skipping packing
+/// `gemm` routes every `M x M · M x N` product here, skipping packing
 /// entirely.
 pub(crate) const SMALL_DIMS: [usize; 3] = [4, 8, 16];
 
-/// Whole-block `C += alpha * A * B` for square `M x M` operands with
-/// `M` in [`SMALL_DIMS`]. Returns `false` (computing nothing) when the
-/// shape is not an exact small block. Operands may be strided views —
-/// only columns are addressed, and view columns are always contiguous.
-pub(crate) fn gemm_small(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: &mut MatMut<'_>) -> bool {
+/// Whether an `m x k` left operand takes the small-block kernels: square,
+/// of an order in [`SMALL_DIMS`].
+pub(crate) fn is_small_block(m: usize, k: usize) -> bool {
+    m == k && SMALL_DIMS.contains(&m)
+}
+
+/// Whether `C += A * B` has the small-block shape: `A` is `M x M` with
+/// `M` in [`SMALL_DIMS`], `B` is `M x N` and `C` is `M x N` for any `N`.
+pub(crate) fn small_shape<E: Element>(
+    a: MatRef<'_, E>,
+    b: MatRef<'_, E>,
+    c: &MatMut<'_, E>,
+) -> bool {
     let m = a.rows();
-    if !SMALL_DIMS.contains(&m) || a.cols() != m || b.shape() != (m, m) || c.shape() != (m, m) {
+    is_small_block(m, a.cols()) && b.rows() == m && c.shape() == (m, b.cols())
+}
+
+/// Small-block `C += alpha * A * B` for an `M x M` A with `M` in
+/// [`SMALL_DIMS`] and `M x N` B and C of any width. Returns `false`
+/// (computing nothing) for any other shape. Operands may be strided
+/// views — only columns are addressed, and view columns are always
+/// contiguous.
+///
+/// The kernels are register-tiled over output columns (2 per step at
+/// `M = 16`, 4 at 8, 8 at 4 on AVX2), so each `k` step keeps at least
+/// eight independent FMA chains in flight. Every column accumulates in
+/// the same fixed `k` order whatever its tile, so the result is bitwise
+/// independent of the tiling and of how callers split the columns.
+pub(crate) fn gemm_small(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: &mut MatMut<'_>) -> bool {
+    if !small_shape(a, b, c) {
         return false;
     }
     match active() {
@@ -629,41 +652,40 @@ pub(crate) fn gemm_small(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: &mut MatMu
         // SAFETY: Avx2Fma implies runtime-detected AVX2+FMA; the shape
         // check above guarantees M-long columns with M = 4 * NV.
         Isa::Avx2Fma => unsafe {
-            match m {
-                4 => x86::small::<4, 1>(alpha, a, b, c),
-                8 => x86::small::<8, 2>(alpha, a, b, c),
-                _ => x86::small::<16, 4>(alpha, a, b, c),
+            match a.rows() {
+                4 => x86::small::<4, 1, 8>(alpha, a, b, c),
+                8 => x86::small::<8, 2, 4>(alpha, a, b, c),
+                _ => x86::small::<16, 4, 2>(alpha, a, b, c),
             }
         },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: Neon implies runtime-detected NEON; M = 2 * NV.
         Isa::Neon => unsafe {
-            match m {
-                4 => neon::small::<4, 2>(alpha, a, b, c),
-                8 => neon::small::<8, 4>(alpha, a, b, c),
-                _ => neon::small::<16, 8>(alpha, a, b, c),
+            match a.rows() {
+                4 => neon::small::<4, 2, 4>(alpha, a, b, c),
+                8 => neon::small::<8, 4, 2>(alpha, a, b, c),
+                _ => neon::small::<16, 8, 2>(alpha, a, b, c),
             }
         },
-        _ => match m {
-            4 => small_scalar::<f64, 4>(alpha, a, b, c),
-            8 => small_scalar::<f64, 8>(alpha, a, b, c),
-            _ => small_scalar::<f64, 16>(alpha, a, b, c),
+        _ => match a.rows() {
+            4 => small_scalar::<f64, 4, 8>(alpha, a, b, c),
+            8 => small_scalar::<f64, 8, 4>(alpha, a, b, c),
+            _ => small_scalar::<f64, 16, 2>(alpha, a, b, c),
         },
     }
     true
 }
 
-/// The `f32` whole-block kernel dispatcher (see [`gemm_small`]). The
-/// `M = 4` block fits a single SSE vector on x86, so it gets a dedicated
-/// 128-bit kernel; 8 and 16 use full-width AVX2 vectors.
+/// The `f32` small-block kernel dispatcher (see [`gemm_small`]). The
+/// `M = 4` column fits a single SSE vector on x86, so it gets a
+/// dedicated 128-bit kernel; 8 and 16 use full-width AVX2 vectors.
 pub(crate) fn gemm_small_f32(
     alpha: f32,
     a: MatRef<'_, f32>,
     b: MatRef<'_, f32>,
     c: &mut MatMut<'_, f32>,
 ) -> bool {
-    let m = a.rows();
-    if !SMALL_DIMS.contains(&m) || a.cols() != m || b.shape() != (m, m) || c.shape() != (m, m) {
+    if !small_shape(a, b, c) {
         return false;
     }
     match active() {
@@ -672,51 +694,77 @@ pub(crate) fn gemm_small_f32(
         // subsumes the SSE + FMA used by the M = 4 kernel); the shape
         // check guarantees M-long columns with M = 8 * NV (or exactly 4).
         Isa::Avx2Fma => unsafe {
-            match m {
-                4 => x86::small4_f32(alpha, a, b, c),
-                8 => x86::small_f32::<8, 1>(alpha, a, b, c),
-                _ => x86::small_f32::<16, 2>(alpha, a, b, c),
+            match a.rows() {
+                4 => x86::small4_f32::<8>(alpha, a, b, c),
+                8 => x86::small_f32::<8, 1, 8>(alpha, a, b, c),
+                _ => x86::small_f32::<16, 2, 4>(alpha, a, b, c),
             }
         },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: Neon implies runtime-detected NEON; M = 4 * NV.
         Isa::Neon => unsafe {
-            match m {
-                4 => neon::small_f32::<4, 1>(alpha, a, b, c),
-                8 => neon::small_f32::<8, 2>(alpha, a, b, c),
-                _ => neon::small_f32::<16, 4>(alpha, a, b, c),
+            match a.rows() {
+                4 => neon::small_f32::<4, 1, 8>(alpha, a, b, c),
+                8 => neon::small_f32::<8, 2, 4>(alpha, a, b, c),
+                _ => neon::small_f32::<16, 4, 2>(alpha, a, b, c),
             }
         },
-        _ => match m {
-            4 => small_scalar::<f32, 4>(alpha, a, b, c),
-            8 => small_scalar::<f32, 8>(alpha, a, b, c),
-            _ => small_scalar::<f32, 16>(alpha, a, b, c),
+        _ => match a.rows() {
+            4 => small_scalar::<f32, 4, 8>(alpha, a, b, c),
+            8 => small_scalar::<f32, 8, 4>(alpha, a, b, c),
+            _ => small_scalar::<f32, 16, 2>(alpha, a, b, c),
         },
     }
     true
 }
 
-/// Portable whole-block kernel: fixed-size array views make every loop
-/// bound a compile-time constant, so the body fully unrolls and
-/// autovectorizes without bounds checks.
-fn small_scalar<E: Element, const M: usize>(
+/// Portable small-block kernel, `NC` output columns per tile and a
+/// one-column tail: fixed-size array views make every loop bound a
+/// compile-time constant, so the body fully unrolls and autovectorizes
+/// without bounds checks. Per column it is the plain (unfused)
+/// `acc += a_k * b_kj` in ascending `k`, then `c += alpha * acc`.
+fn small_scalar<E: Element, const M: usize, const NC: usize>(
     alpha: E,
     a: MatRef<'_, E>,
     b: MatRef<'_, E>,
     c: &mut MatMut<'_, E>,
 ) {
-    for j in 0..M {
-        let bcol: &[E; M] = b.col(j).try_into().expect("B column");
-        let mut acc = [E::ZERO; M];
-        for (k, &bkj) in bcol.iter().enumerate() {
-            let acol: &[E; M] = a.col(k).try_into().expect("A column");
+    let n = b.cols();
+    let mut j = 0;
+    while j + NC <= n {
+        small_scalar_tile::<E, M, NC>(alpha, a, b, c, j);
+        j += NC;
+    }
+    for j in j..n {
+        small_scalar_tile::<E, M, 1>(alpha, a, b, c, j);
+    }
+}
+
+/// Columns `[j0, j0 + NC)` of [`small_scalar`].
+#[inline(always)]
+fn small_scalar_tile<E: Element, const M: usize, const NC: usize>(
+    alpha: E,
+    a: MatRef<'_, E>,
+    b: MatRef<'_, E>,
+    c: &mut MatMut<'_, E>,
+    j0: usize,
+) {
+    let bcols: [&[E; M]; NC] =
+        core::array::from_fn(|t| b.col(j0 + t).try_into().expect("B column"));
+    let mut acc = [[E::ZERO; M]; NC];
+    for k in 0..M {
+        let acol: &[E; M] = a.col(k).try_into().expect("A column");
+        for (bc, acct) in bcols.iter().zip(acc.iter_mut()) {
+            let bkj = bc[k];
             for i in 0..M {
-                acc[i] += acol[i] * bkj;
+                acct[i] += acol[i] * bkj;
             }
         }
-        let ccol: &mut [E; M] = c.col_mut(j).try_into().expect("C column");
+    }
+    for (t, acct) in acc.iter().enumerate() {
+        let ccol: &mut [E; M] = c.col_mut(j0 + t).try_into().expect("C column");
         for i in 0..M {
-            ccol[i] += alpha * acc[i];
+            ccol[i] += alpha * acct[i];
         }
     }
 }
@@ -1347,101 +1395,206 @@ mod x86 {
         s
     }
 
-    /// Whole-block `C += alpha * A * B` for `M x M` operands, `M = 4 * NV`.
-    /// One output column is accumulated in `NV` YMM registers while the
-    /// `M` rank-1 terms stream through broadcasts of B — no packing, no
-    /// scratch.
+    /// Small-block `C += alpha * A * B` for an `M x M` A and `M x N`
+    /// B/C of any width `N`, `M = 4 * NV`: no packing, no scratch. The
+    /// columns go `NC` at a time through [`small_tile`], then one at a
+    /// time for the tail.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 + FMA; `a`, `b`, `c` must be `M x M` views (their
-    /// columns are contiguous `M`-long slices by the view invariant).
+    /// Requires AVX2 + FMA; `a` must be an `M x M` view, `b` `M x N` and
+    /// `c` `M x N` (their columns are contiguous `M`-long slices by the
+    /// view invariant).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn small<const M: usize, const NV: usize>(
+    pub(super) unsafe fn small<const M: usize, const NV: usize, const NC: usize>(
         alpha: f64,
         a: MatRef<'_>,
         b: MatRef<'_>,
         c: &mut MatMut<'_>,
     ) {
-        debug_assert!(M == 4 * NV && a.shape() == (M, M));
-        let alphav = _mm256_set1_pd(alpha);
-        for j in 0..M {
-            let bcol = b.col(j);
-            let mut acc = [_mm256_setzero_pd(); NV];
-            for (k, bkj) in bcol.iter().enumerate() {
-                let ap = a.col(k).as_ptr();
-                let bv = _mm256_set1_pd(*bkj);
-                for (v, accv) in acc.iter_mut().enumerate() {
-                    *accv = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(V * v)), bv, *accv);
+        debug_assert!(M == 4 * NV && a.shape() == (M, M) && c.shape() == (M, b.cols()));
+        let n = b.cols();
+        let mut j = 0;
+        while j + NC <= n {
+            small_tile::<M, NV, NC>(alpha, a, b, c, j);
+            j += NC;
+        }
+        for j in j..n {
+            small_tile::<M, NV, 1>(alpha, a, b, c, j);
+        }
+    }
+
+    /// Columns `[j0, j0 + NC)` of [`small`]: `NC * NV` YMM accumulators,
+    /// so every `k` step loads A's column `k` once and issues `NC * NV`
+    /// independent FMAs against broadcasts of B. Each column accumulates
+    /// `a_k * b_kj` in ascending `k` from zero and is then folded into C
+    /// by one FMA with `alpha`, whatever `NC` is — so grouping and column
+    /// splitting never change a bit.
+    ///
+    /// # Safety
+    ///
+    /// As [`small`], plus `j0 + NC <= b.cols()`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn small_tile<const M: usize, const NV: usize, const NC: usize>(
+        alpha: f64,
+        a: MatRef<'_>,
+        b: MatRef<'_>,
+        c: &mut MatMut<'_>,
+        j0: usize,
+    ) {
+        let (ap, lda) = (a.data.as_ptr(), a.col_stride);
+        let mut bp = [core::ptr::null::<f64>(); NC];
+        for (t, p) in bp.iter_mut().enumerate() {
+            *p = b.col(j0 + t).as_ptr();
+        }
+        let mut acc = [[_mm256_setzero_pd(); NV]; NC];
+        for k in 0..a.cols() {
+            let mut av = [_mm256_setzero_pd(); NV];
+            for (v, x) in av.iter_mut().enumerate() {
+                *x = _mm256_loadu_pd(ap.add(k * lda + V * v));
+            }
+            for (p, acct) in bp.iter().zip(acc.iter_mut()) {
+                let bv = _mm256_set1_pd(*p.add(k));
+                for (x, accv) in av.iter().zip(acct.iter_mut()) {
+                    *accv = _mm256_fmadd_pd(*x, bv, *accv);
                 }
             }
-            let cp = c.col_mut(j).as_mut_ptr();
-            for (v, &accv) in acc.iter().enumerate() {
+        }
+        let alphav = _mm256_set1_pd(alpha);
+        for (t, acct) in acc.iter().enumerate() {
+            let cp = c.col_mut(j0 + t).as_mut_ptr();
+            for (v, &accv) in acct.iter().enumerate() {
                 let cv: __m256d = _mm256_loadu_pd(cp.add(V * v));
                 _mm256_storeu_pd(cp.add(V * v), _mm256_fmadd_pd(alphav, accv, cv));
             }
         }
     }
 
-    /// `f32` whole-block kernel for `M x M` operands, `M = 8 * NV`
-    /// (M = 8 and 16; M = 4 has its own 128-bit kernel below).
+    /// `f32` small-block kernel for `M = 8 * NV` (M = 8 and 16; M = 4
+    /// has its own 128-bit kernel below), `NC` columns per tile.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 + FMA; `a`, `b`, `c` must be `M x M` views.
+    /// As [`small`].
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn small_f32<const M: usize, const NV: usize>(
+    pub(super) unsafe fn small_f32<const M: usize, const NV: usize, const NC: usize>(
         alpha: f32,
         a: MatRef<'_, f32>,
         b: MatRef<'_, f32>,
         c: &mut MatMut<'_, f32>,
     ) {
-        debug_assert!(M == 8 * NV && a.shape() == (M, M));
-        let alphav = _mm256_set1_ps(alpha);
-        for j in 0..M {
-            let bcol = b.col(j);
-            let mut acc = [_mm256_setzero_ps(); NV];
-            for (k, bkj) in bcol.iter().enumerate() {
-                let ap = a.col(k).as_ptr();
-                let bv = _mm256_set1_ps(*bkj);
-                for (v, accv) in acc.iter_mut().enumerate() {
-                    *accv = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(VS * v)), bv, *accv);
+        debug_assert!(M == 8 * NV && a.shape() == (M, M) && c.shape() == (M, b.cols()));
+        let n = b.cols();
+        let mut j = 0;
+        while j + NC <= n {
+            small_tile_f32::<M, NV, NC>(alpha, a, b, c, j);
+            j += NC;
+        }
+        for j in j..n {
+            small_tile_f32::<M, NV, 1>(alpha, a, b, c, j);
+        }
+    }
+
+    /// Columns `[j0, j0 + NC)` of [`small_f32`] (see [`small_tile`]).
+    ///
+    /// # Safety
+    ///
+    /// As [`small`], plus `j0 + NC <= b.cols()`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn small_tile_f32<const M: usize, const NV: usize, const NC: usize>(
+        alpha: f32,
+        a: MatRef<'_, f32>,
+        b: MatRef<'_, f32>,
+        c: &mut MatMut<'_, f32>,
+        j0: usize,
+    ) {
+        let (ap, lda) = (a.data.as_ptr(), a.col_stride);
+        let mut bp = [core::ptr::null::<f32>(); NC];
+        for (t, p) in bp.iter_mut().enumerate() {
+            *p = b.col(j0 + t).as_ptr();
+        }
+        let mut acc = [[_mm256_setzero_ps(); NV]; NC];
+        for k in 0..a.cols() {
+            let mut av = [_mm256_setzero_ps(); NV];
+            for (v, x) in av.iter_mut().enumerate() {
+                *x = _mm256_loadu_ps(ap.add(k * lda + VS * v));
+            }
+            for (p, acct) in bp.iter().zip(acc.iter_mut()) {
+                let bv = _mm256_set1_ps(*p.add(k));
+                for (x, accv) in av.iter().zip(acct.iter_mut()) {
+                    *accv = _mm256_fmadd_ps(*x, bv, *accv);
                 }
             }
-            let cp = c.col_mut(j).as_mut_ptr();
-            for (v, &accv) in acc.iter().enumerate() {
+        }
+        let alphav = _mm256_set1_ps(alpha);
+        for (t, acct) in acc.iter().enumerate() {
+            let cp = c.col_mut(j0 + t).as_mut_ptr();
+            for (v, &accv) in acct.iter().enumerate() {
                 let cv: __m256 = _mm256_loadu_ps(cp.add(VS * v));
                 _mm256_storeu_ps(cp.add(VS * v), _mm256_fmadd_ps(alphav, accv, cv));
             }
         }
     }
 
-    /// `f32` whole-block kernel for the 4 x 4 case: one 128-bit vector
-    /// holds a full column, so the accumulator is a single XMM register.
+    /// `f32` small-block kernel for `M = 4`: one 128-bit vector holds a
+    /// full column, so a tile of `NC` columns keeps `NC` XMM
+    /// accumulators.
     ///
     /// # Safety
     ///
     /// Requires AVX2 + FMA (FMA covers the 128-bit `_mm_fmadd_ps`);
-    /// `a`, `b`, `c` must be `4 x 4` views.
+    /// `a` must be a `4 x 4` view, `b` and `c` `4 x N` views.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn small4_f32(
+    pub(super) unsafe fn small4_f32<const NC: usize>(
         alpha: f32,
         a: MatRef<'_, f32>,
         b: MatRef<'_, f32>,
         c: &mut MatMut<'_, f32>,
     ) {
-        debug_assert!(a.shape() == (4, 4));
-        let alphav = _mm_set1_ps(alpha);
-        for j in 0..4 {
-            let bcol = b.col(j);
-            let mut acc = _mm_setzero_ps();
-            for (k, bkj) in bcol.iter().enumerate() {
-                let ap = a.col(k).as_ptr();
-                acc = _mm_fmadd_ps(_mm_loadu_ps(ap), _mm_set1_ps(*bkj), acc);
+        debug_assert!(a.shape() == (4, 4) && c.shape() == (4, b.cols()));
+        let n = b.cols();
+        let mut j = 0;
+        while j + NC <= n {
+            small4_tile_f32::<NC>(alpha, a, b, c, j);
+            j += NC;
+        }
+        for j in j..n {
+            small4_tile_f32::<1>(alpha, a, b, c, j);
+        }
+    }
+
+    /// Columns `[j0, j0 + NC)` of [`small4_f32`] (see [`small_tile`]).
+    ///
+    /// # Safety
+    ///
+    /// As [`small4_f32`], plus `j0 + NC <= b.cols()`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn small4_tile_f32<const NC: usize>(
+        alpha: f32,
+        a: MatRef<'_, f32>,
+        b: MatRef<'_, f32>,
+        c: &mut MatMut<'_, f32>,
+        j0: usize,
+    ) {
+        let (ap, lda) = (a.data.as_ptr(), a.col_stride);
+        let mut bp = [core::ptr::null::<f32>(); NC];
+        for (t, p) in bp.iter_mut().enumerate() {
+            *p = b.col(j0 + t).as_ptr();
+        }
+        let mut acc = [_mm_setzero_ps(); NC];
+        for k in 0..a.cols() {
+            let av = _mm_loadu_ps(ap.add(k * lda));
+            for (p, accv) in bp.iter().zip(acc.iter_mut()) {
+                *accv = _mm_fmadd_ps(av, _mm_set1_ps(*p.add(k)), *accv);
             }
-            let cp = c.col_mut(j).as_mut_ptr();
-            let cv = _mm_loadu_ps(cp);
-            _mm_storeu_ps(cp, _mm_fmadd_ps(alphav, acc, cv));
+        }
+        let alphav = _mm_set1_ps(alpha);
+        for (t, &accv) in acc.iter().enumerate() {
+            let cp = c.col_mut(j0 + t).as_mut_ptr();
+            _mm_storeu_ps(cp, _mm_fmadd_ps(alphav, accv, _mm_loadu_ps(cp)));
         }
     }
 }
@@ -1917,64 +2070,136 @@ mod neon {
         s
     }
 
-    /// Whole-block `C += alpha * A * B` for `M x M` operands, `M = 2 * NV`.
+    /// Small-block `C += alpha * A * B` for an `M x M` A and `M x N`
+    /// B/C, `M = 2 * NV`, `NC` columns per tile (the x86 `small`
+    /// layout at 2 lanes).
     ///
     /// # Safety
     ///
-    /// Requires NEON; `a`, `b`, `c` must be `M x M` views.
+    /// Requires NEON; `a` must be an `M x M` view, `b` and `c` `M x N`.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn small<const M: usize, const NV: usize>(
+    pub(super) unsafe fn small<const M: usize, const NV: usize, const NC: usize>(
         alpha: f64,
         a: MatRef<'_>,
         b: MatRef<'_>,
         c: &mut MatMut<'_>,
     ) {
-        debug_assert!(M == 2 * NV && a.shape() == (M, M));
-        let alphav = vdupq_n_f64(alpha);
-        for j in 0..M {
-            let bcol = b.col(j);
-            let mut acc = [vdupq_n_f64(0.0); NV];
-            for (k, bkj) in bcol.iter().enumerate() {
-                let ap = a.col(k).as_ptr();
-                let bv = vdupq_n_f64(*bkj);
-                for (v, accv) in acc.iter_mut().enumerate() {
-                    *accv = vfmaq_f64(*accv, vld1q_f64(ap.add(V * v)), bv);
+        debug_assert!(M == 2 * NV && a.shape() == (M, M) && c.shape() == (M, b.cols()));
+        let n = b.cols();
+        let mut j = 0;
+        while j + NC <= n {
+            small_tile::<M, NV, NC>(alpha, a, b, c, j);
+            j += NC;
+        }
+        for j in j..n {
+            small_tile::<M, NV, 1>(alpha, a, b, c, j);
+        }
+    }
+
+    /// Columns `[j0, j0 + NC)` of [`small`]: `NC * NV` accumulators, A's
+    /// column `k` loaded once per `k` step; per-column `k` order as on
+    /// x86, so grouping never changes a bit.
+    ///
+    /// # Safety
+    ///
+    /// As [`small`], plus `j0 + NC <= b.cols()`.
+    #[inline]
+    #[target_feature(enable = "neon")]
+    unsafe fn small_tile<const M: usize, const NV: usize, const NC: usize>(
+        alpha: f64,
+        a: MatRef<'_>,
+        b: MatRef<'_>,
+        c: &mut MatMut<'_>,
+        j0: usize,
+    ) {
+        let (ap, lda) = (a.data.as_ptr(), a.col_stride);
+        let mut bp = [core::ptr::null::<f64>(); NC];
+        for (t, p) in bp.iter_mut().enumerate() {
+            *p = b.col(j0 + t).as_ptr();
+        }
+        let mut acc = [[vdupq_n_f64(0.0); NV]; NC];
+        for k in 0..a.cols() {
+            let mut av = [vdupq_n_f64(0.0); NV];
+            for (v, x) in av.iter_mut().enumerate() {
+                *x = vld1q_f64(ap.add(k * lda + V * v));
+            }
+            for (p, acct) in bp.iter().zip(acc.iter_mut()) {
+                let bv = vdupq_n_f64(*p.add(k));
+                for (x, accv) in av.iter().zip(acct.iter_mut()) {
+                    *accv = vfmaq_f64(*accv, *x, bv);
                 }
             }
-            let cp = c.col_mut(j).as_mut_ptr();
-            for (v, &accv) in acc.iter().enumerate() {
+        }
+        let alphav = vdupq_n_f64(alpha);
+        for (t, acct) in acc.iter().enumerate() {
+            let cp = c.col_mut(j0 + t).as_mut_ptr();
+            for (v, &accv) in acct.iter().enumerate() {
                 let cv = vld1q_f64(cp.add(V * v));
                 vst1q_f64(cp.add(V * v), vfmaq_f64(cv, alphav, accv));
             }
         }
     }
 
-    /// `f32` whole-block kernel for `M x M` operands, `M = 4 * NV`.
+    /// `f32` small-block kernel, `M = 4 * NV`, `NC` columns per tile.
     ///
     /// # Safety
     ///
-    /// Requires NEON; `a`, `b`, `c` must be `M x M` views.
+    /// As [`small`].
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn small_f32<const M: usize, const NV: usize>(
+    pub(super) unsafe fn small_f32<const M: usize, const NV: usize, const NC: usize>(
         alpha: f32,
         a: MatRef<'_, f32>,
         b: MatRef<'_, f32>,
         c: &mut MatMut<'_, f32>,
     ) {
-        debug_assert!(M == 4 * NV && a.shape() == (M, M));
-        let alphav = vdupq_n_f32(alpha);
-        for j in 0..M {
-            let bcol = b.col(j);
-            let mut acc = [vdupq_n_f32(0.0); NV];
-            for (k, bkj) in bcol.iter().enumerate() {
-                let ap = a.col(k).as_ptr();
-                let bv = vdupq_n_f32(*bkj);
-                for (v, accv) in acc.iter_mut().enumerate() {
-                    *accv = vfmaq_f32(*accv, vld1q_f32(ap.add(VS * v)), bv);
+        debug_assert!(M == 4 * NV && a.shape() == (M, M) && c.shape() == (M, b.cols()));
+        let n = b.cols();
+        let mut j = 0;
+        while j + NC <= n {
+            small_tile_f32::<M, NV, NC>(alpha, a, b, c, j);
+            j += NC;
+        }
+        for j in j..n {
+            small_tile_f32::<M, NV, 1>(alpha, a, b, c, j);
+        }
+    }
+
+    /// Columns `[j0, j0 + NC)` of [`small_f32`] (see [`small_tile`]).
+    ///
+    /// # Safety
+    ///
+    /// As [`small`], plus `j0 + NC <= b.cols()`.
+    #[inline]
+    #[target_feature(enable = "neon")]
+    unsafe fn small_tile_f32<const M: usize, const NV: usize, const NC: usize>(
+        alpha: f32,
+        a: MatRef<'_, f32>,
+        b: MatRef<'_, f32>,
+        c: &mut MatMut<'_, f32>,
+        j0: usize,
+    ) {
+        let (ap, lda) = (a.data.as_ptr(), a.col_stride);
+        let mut bp = [core::ptr::null::<f32>(); NC];
+        for (t, p) in bp.iter_mut().enumerate() {
+            *p = b.col(j0 + t).as_ptr();
+        }
+        let mut acc = [[vdupq_n_f32(0.0); NV]; NC];
+        for k in 0..a.cols() {
+            let mut av = [vdupq_n_f32(0.0); NV];
+            for (v, x) in av.iter_mut().enumerate() {
+                *x = vld1q_f32(ap.add(k * lda + VS * v));
+            }
+            for (p, acct) in bp.iter().zip(acc.iter_mut()) {
+                let bv = vdupq_n_f32(*p.add(k));
+                for (x, accv) in av.iter().zip(acct.iter_mut()) {
+                    *accv = vfmaq_f32(*accv, *x, bv);
                 }
             }
-            let cp = c.col_mut(j).as_mut_ptr();
-            for (v, &accv) in acc.iter().enumerate() {
+        }
+        let alphav = vdupq_n_f32(alpha);
+        for (t, acct) in acc.iter().enumerate() {
+            let cp = c.col_mut(j0 + t).as_mut_ptr();
+            for (v, &accv) in acct.iter().enumerate() {
                 let cv = vld1q_f32(cp.add(VS * v));
                 vst1q_f32(cp.add(VS * v), vfmaq_f32(cv, alphav, accv));
             }
@@ -2300,29 +2525,31 @@ mod tests {
     }
 
     #[test]
-    fn small_kernel_rejects_unsupported_shapes() {
+    fn small_kernel_accepts_any_width_and_rejects_other_shapes() {
         let _l = lock();
-        let a = Mat::zeros(5, 5);
-        let b = Mat::zeros(5, 5);
-        let mut c = Mat::zeros(5, 5);
-        assert!(!gemm_small(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut()));
-        let a8 = Mat::zeros(8, 8);
-        let b84 = Mat::zeros(8, 4);
-        let mut c84 = Mat::zeros(8, 4);
-        assert!(!gemm_small(
-            1.0,
-            a8.as_ref(),
-            b84.as_ref(),
-            &mut c84.as_mut()
-        ));
-        let a5 = Mat::<f32>::zeros(5, 5);
-        let b5 = Mat::<f32>::zeros(5, 5);
-        let mut c5 = Mat::<f32>::zeros(5, 5);
-        assert!(!gemm_small_f32(
-            1.0,
-            a5.as_ref(),
-            b5.as_ref(),
-            &mut c5.as_mut()
-        ));
+        let z = |r, c| Mat::zeros(r, c);
+        let run = |a: &Mat, b: &Mat, c: &mut Mat| {
+            gemm_small(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut())
+        };
+        // M x M · M x N for any N, including 0 and N != M.
+        for n in [0, 1, 4, 8, 17] {
+            assert!(run(&z(8, 8), &z(8, n), &mut z(8, n)), "8x8·8x{n}");
+        }
+        // Order outside {4, 8, 16}.
+        assert!(!run(&z(5, 5), &z(5, 5), &mut z(5, 5)));
+        // Non-square A.
+        assert!(!run(&z(8, 4), &z(4, 8), &mut z(8, 8)));
+        // B.rows() != M.
+        assert!(!run(&z(8, 8), &z(4, 8), &mut z(8, 8)));
+        // C does not match M x N.
+        assert!(!run(&z(8, 8), &z(8, 4), &mut z(8, 5)));
+        assert!(!run(&z(8, 8), &z(8, 4), &mut z(4, 4)));
+        let z32 = |r, c| Mat::<f32>::zeros(r, c);
+        let run32 = |a: &Mat<f32>, b: &Mat<f32>, c: &mut Mat<f32>| {
+            gemm_small_f32(1.0, a.as_ref(), b.as_ref(), &mut c.as_mut())
+        };
+        assert!(run32(&z32(4, 4), &z32(4, 9), &mut z32(4, 9)));
+        assert!(!run32(&z32(5, 5), &z32(5, 5), &mut z32(5, 5)));
+        assert!(!run32(&z32(16, 16), &z32(8, 3), &mut z32(16, 3)));
     }
 }

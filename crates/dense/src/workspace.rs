@@ -84,8 +84,23 @@ impl<E: Element> Workspace<E> {
     /// Checks out a zeroed `rows x cols` matrix, recycling a pooled
     /// buffer when one is large enough.
     pub fn take(&mut self, rows: usize, cols: usize) -> Mat<E> {
+        self.take_fitting(rows, cols, false)
+    }
+
+    /// [`Workspace::take`] that recycles only a pooled buffer of exactly
+    /// `rows * cols` elements, else allocates one of that size. For a
+    /// scratch panel that leaves the pool in exchange for a caller's
+    /// panel (`std::mem::swap`, then `put` of the caller's buffer): the
+    /// buffer handed out carries no spare capacity that
+    /// [`Workspace::trim_to`] could then no longer release, and the
+    /// same-size buffer that comes back keeps the byte accounting level.
+    pub fn take_exact(&mut self, rows: usize, cols: usize) -> Mat<E> {
+        self.take_fitting(rows, cols, true)
+    }
+
+    fn take_fitting(&mut self, rows: usize, cols: usize, exact: bool) -> Mat<E> {
         let need = rows * cols;
-        let mut buf = self.pick(need);
+        let mut buf = self.pick(need, exact);
         buf.clear();
         buf.resize(need, E::ZERO);
         self.note_out(buf.capacity() as u64 * Self::ELEM_BYTES);
@@ -96,7 +111,7 @@ impl<E: Element> Workspace<E> {
     /// but filled by copying columns instead of a zero pass).
     pub fn take_copy(&mut self, src: MatRef<'_, E>) -> Mat<E> {
         let (rows, cols) = src.shape();
-        let mut buf = self.pick(rows * cols);
+        let mut buf = self.pick(rows * cols, false);
         buf.clear();
         for j in 0..cols {
             buf.extend_from_slice(src.col(j));
@@ -177,12 +192,14 @@ impl<E: Element> Workspace<E> {
         self.stats
     }
 
-    /// Smallest pooled buffer with capacity >= `need`, else a fresh
-    /// allocation. Linear scan: pools hold a handful of buffers.
-    fn pick(&mut self, need: usize) -> Vec<E> {
+    /// Smallest pooled buffer with capacity >= `need` (`== need` when
+    /// `exact`), else a fresh allocation. Linear scan: pools hold a
+    /// handful of buffers.
+    fn pick(&mut self, need: usize, exact: bool) -> Vec<E> {
         let mut best: Option<usize> = None;
         for (i, buf) in self.free.iter().enumerate() {
             if buf.capacity() >= need
+                && (!exact || buf.capacity() == need)
                 && best.is_none_or(|b| buf.capacity() < self.free[b].capacity())
             {
                 best = Some(i);
@@ -285,6 +302,21 @@ mod tests {
         ws.put(got);
         assert_eq!(ws.stats().checkouts, 2);
         assert_eq!(ws.stats().reuses, 1);
+    }
+
+    #[test]
+    fn take_exact_skips_larger_buffers() {
+        let mut ws: Workspace = Workspace::new();
+        let big = ws.take(4, 8);
+        ws.put(big);
+        let a = ws.take_exact(4, 4);
+        assert_eq!(a.as_slice().len(), 16);
+        assert_eq!(ws.stats().checkouts, 2, "a larger buffer must not serve");
+        assert_eq!(ws.pooled(), 1);
+        ws.put(a);
+        let b = ws.take_exact(4, 4);
+        assert!(b.as_slice().iter().all(|&v| v == 0.0));
+        assert_eq!((ws.stats().checkouts, ws.stats().reuses), (2, 1));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use bt_dense::random::{rng, uniform};
 use bt_dense::simd;
-use bt_dense::{gemm, gemm_axpy, gemm_packed, gemm_small, Isa, Mat, Trans};
+use bt_dense::{gemm, gemm_axpy, gemm_packed, gemm_small, Element, Isa, Mat, MatRef, Trans};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -69,6 +69,114 @@ fn any_dim() -> impl Strategy<Value = usize> {
 
 fn small_dim() -> impl Strategy<Value = usize> {
     (0usize..3).prop_map(|i| [4usize, 8, 16][i])
+}
+
+/// Right-hand-side widths for the small-block kernels: empty, narrower
+/// than every register tile, ragged tails after whole tiles, and the
+/// replay's 64.
+fn small_width() -> impl Strategy<Value = usize> {
+    (0usize..7).prop_map(|i| [0usize, 1, 2, 3, 5, 17, 64][i])
+}
+
+/// Fused multiply-add at either precision, for the FMA reference.
+trait MulAdd: Element {
+    fn fma(self, b: Self, c: Self) -> Self;
+}
+impl MulAdd for f64 {
+    fn fma(self, b: Self, c: Self) -> Self {
+        self.mul_add(b, c)
+    }
+}
+impl MulAdd for f32 {
+    fn fma(self, b: Self, c: Self) -> Self {
+        self.mul_add(b, c)
+    }
+}
+
+/// The small-block kernels' arithmetic, one element at a time: per
+/// column, `acc = sum_k a[:, k] * b[k, j]` in ascending `k` from zero,
+/// then `c += alpha * acc`. `fused` selects one rounding per
+/// multiply-add (the AVX2 and NEON kernels) or two (the scalar kernel).
+fn small_reference<E: MulAdd>(
+    alpha: E,
+    a: MatRef<'_, E>,
+    b: MatRef<'_, E>,
+    c: &mut Mat<E>,
+    fused: bool,
+) {
+    let m = a.rows();
+    for j in 0..b.cols() {
+        for i in 0..m {
+            let mut acc = E::ZERO;
+            for k in 0..m {
+                acc = if fused {
+                    a.get(i, k).fma(b.get(k, j), acc)
+                } else {
+                    acc + a.get(i, k) * b.get(k, j)
+                };
+            }
+            let cij = c.get(i, j);
+            c.set(
+                i,
+                j,
+                if fused {
+                    alpha.fma(acc, cij)
+                } else {
+                    cij + alpha * acc
+                },
+            );
+        }
+    }
+}
+
+/// Runs `gemm_small` on strided windows of larger backings (column
+/// strides differ from `m`) on the scalar and detected paths, and checks
+/// each bit for bit against [`small_reference`]; the padding around the
+/// output window must stay untouched.
+fn check_small_against_references<E: MulAdd>(m: usize, n: usize, seed: u64, alpha: f64) {
+    let big_a = uniform(m + 3, m + 2, &mut rng(seed)).convert::<E>();
+    let big_b = uniform(m + 5, n + 2, &mut rng(seed ^ 0xB)).convert::<E>();
+    let big_c = uniform(m + 4, n + 3, &mut rng(seed ^ 0xC)).convert::<E>();
+    let a = big_a.submatrix(3, 1, m, m);
+    let b = big_b.submatrix(2, 1, m, n);
+    let alpha = E::from_f64(alpha);
+    let detected = detected_isa();
+    for isa in [Isa::Scalar, detected] {
+        let fused = isa != Isa::Scalar;
+        let mut expect = big_c.submatrix(1, 1, m, n).to_mat();
+        small_reference(alpha, a, b, &mut expect, fused);
+        let mut got = big_c.clone();
+        with_isa(isa, || {
+            assert!(gemm_small(
+                alpha,
+                a,
+                b,
+                got.as_mut().submatrix_mut(1, 1, m, n)
+            ));
+        });
+        assert!(
+            got.submatrix(1, 1, m, n).to_mat() == expect,
+            "{} {m}x{m}x{n} on {} differs from the reference",
+            E::NAME,
+            isa.name()
+        );
+        // Bitwise, not just `==` (which equates 0.0 and -0.0).
+        for j in 0..n {
+            for i in 0..m {
+                assert_eq!(
+                    got.get(1 + i, 1 + j).to_f64().to_bits(),
+                    expect.get(i, j).to_f64().to_bits(),
+                    "{} {m}x{m}x{n} on {} at ({i}, {j})",
+                    E::NAME,
+                    isa.name()
+                );
+            }
+        }
+        got.as_mut()
+            .submatrix_mut(1, 1, m, n)
+            .copy_from(big_c.submatrix(1, 1, m, n));
+        assert!(got == big_c, "gemm_small wrote outside the output window");
+    }
 }
 
 proptest! {
@@ -138,6 +246,53 @@ proptest! {
                 isa.name(),
                 c.sub(&expect).max_abs()
             );
+        }
+    }
+
+    /// The register-tiled small-block kernels against an element-by-
+    /// element reference, bit for bit, for every order, any width, both
+    /// precisions, strided views and `alpha != 1` into non-zero C: the
+    /// SIMD path against the fused reference (so AVX2 and NEON agree
+    /// with each other exactly), the scalar path against the unfused one.
+    #[test]
+    fn small_kernels_match_references_bitwise(
+        (m, n, seed, alpha) in (small_dim(), small_width(), 0u64..1000, -2.0f64..2.0)
+    ) {
+        let _g = lock();
+        check_small_against_references::<f64>(m, n, seed, alpha);
+        check_small_against_references::<f32>(m, n, seed, alpha);
+    }
+
+    /// NaN or Inf in B reaches every row of its C column on every path,
+    /// also through a zero A column (`0 * Inf = NaN`): the tiled kernels
+    /// skip no term.
+    #[test]
+    fn small_kernels_propagate_nonfinite_b(
+        (m, n, seed, poison) in (small_dim(), (1usize..70), 0u64..1000, (0usize..2).prop_map(|i| if i == 0 { f64::NAN } else { f64::INFINITY }))
+    ) {
+        let _g = lock();
+        let mut a = uniform(m, m, &mut rng(seed));
+        let mut b = uniform(m, n, &mut rng(seed ^ 0xF00));
+        let (kp, jp) = (seed as usize % m, seed as usize % n);
+        for i in 0..m {
+            a.set(i, kp, 0.0);
+        }
+        b.set(kp, jp, poison);
+        let detected = detected_isa();
+        for isa in [Isa::Scalar, detected] {
+            with_isa(isa, || {
+                let mut c = Mat::zeros(m, n);
+                assert!(gemm_small(1.0, &a, &b, &mut c));
+                let mut c32 = Mat::<f32>::zeros(m, n);
+                assert!(gemm_small(1.0f32, &a.convert::<f32>(), &b.convert::<f32>(), &mut c32));
+                for i in 0..m {
+                    assert!(c.get(i, jp).is_nan(), "f64 on {} dropped 0 * {poison} at ({i}, {jp})", isa.name());
+                    assert!(c32.get(i, jp).is_nan(), "f32 on {} dropped 0 * {poison} at ({i}, {jp})", isa.name());
+                }
+                for j in (0..n).filter(|&j| j != jp) {
+                    assert!(c.get(0, j).is_finite(), "poison leaked into column {j}");
+                }
+            });
         }
     }
 

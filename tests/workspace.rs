@@ -103,6 +103,50 @@ fn warm_replay_is_allocation_free_single_rank_and_wide_batch() {
     warm_replay_zero_checkouts(&ClusteredToeplitz::standard(64, 3, 4), 8, 16);
 }
 
+/// Service-style batching: replay widths alternate between a wide and
+/// a narrow batch, by value and into caller panels. After one warm
+/// cycle every further solve reuses the pool and the footprint stays
+/// flat. The diagonal step's scratch panel leaves the pool in the
+/// solution, so it must be an exact-size buffer: a best-fit pick would
+/// hand the wide buffer out with a narrow solution and force the next
+/// wide solve to allocate.
+#[test]
+fn warm_replay_alternating_widths_is_allocation_free() {
+    let src = ClusteredToeplitz::standard(48, 4, 3);
+    let (p, m) = (2, src.m());
+    let results = run_spmd(p, ZERO, |comm| {
+        let sys = RankSystem::from_source(&src, p, comm.rank());
+        let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
+        let batch = |r: usize, b: u64| -> Vec<Mat> {
+            (sys.lo..sys.hi).map(|i| rhs_panel(m, r, b, i)).collect()
+        };
+        let mut cycle = |b: u64| {
+            for r in [16, 3] {
+                let x = factors.solve_replay(comm, batch(r, b));
+                let mut out: Vec<Mat> = x.iter().map(|_| Mat::zeros(m, r)).collect();
+                factors.solve_replay_into(comm, &batch(r, b + 1), &mut out);
+            }
+        };
+        cycle(0);
+        let warm = factors.workspace_stats();
+        for b in 1..5 {
+            cycle(2 * b);
+        }
+        (warm, factors.workspace_stats())
+    });
+    for (rank, (warm, after)) in results.results.into_iter().enumerate() {
+        assert_eq!(
+            after.checkouts, warm.checkouts,
+            "rank {rank}: alternating widths allocated"
+        );
+        assert_eq!(
+            after.bytes_high_water, warm.bytes_high_water,
+            "rank {rank}: alternating widths raised the workspace footprint"
+        );
+        assert!(after.reuses > warm.reuses);
+    }
+}
+
 /// The dense solver layer underneath: `solve_into` on workspace-pooled
 /// scratch is bitwise identical to the allocating `solve`, for both LU
 /// and Cholesky factorizations, and a warm take/put loop never touches
