@@ -14,7 +14,7 @@
 //!   the `f64` right-hand panels down, replay at `f32` (half the wire
 //!   bytes, double the SIMD lanes), convert the solution back up.
 //!   `replay_speedup = f64 / f32` is the headline.
-//! * `refined_ns` — the full mixed solve ([`MixedRankFactors::solve_refined`]):
+//! * `refined_ns` — the full mixed solve ([`bt_ard::solve_refined`]):
 //!   the `f32` replay plus the `f64` refinement sweeps that restore
 //!   full accuracy. `mixed_residual` (its final relative residual) is
 //!   asserted to match the `f64` replay's `f64_residual`, which is what
@@ -37,9 +37,9 @@
 use std::time::Instant;
 
 use bt_ard::mixed::MixedRankFactors;
-use bt_ard::refine::{halo_exchange, local_residual};
+use bt_ard::refine::{halo_exchange, local_residual, solve_refined};
 use bt_ard::state::{ArdRankFactors, RankSystem};
-use bt_ard::Precision;
+use bt_ard::{Precision, RankSolver};
 use bt_bench::Args;
 use bt_blocktri::gen::{rhs_panel, ClusteredToeplitz, Poisson2D};
 use bt_blocktri::{BlockRowSource, FactorError};
@@ -160,9 +160,10 @@ fn cell<C: CommBackend>(
     let mut sweeps = 0;
     let mut mixed_residual = 0.0;
     let t_ref = time_best(comm, reps, |comm| {
-        let refined = mixed.solve_refined(comm, &sys, &y, 4, 1e-12);
-        sweeps = refined.history.len() - 1;
-        mixed_residual = *refined.history.last().expect("nonempty history");
+        let mut x = y.clone();
+        let history = solve_refined(&mixed, comm, &sys, &mut x, Some((4, 1e-12)), None);
+        sweeps = history.len() - 1;
+        mixed_residual = *history.last().expect("nonempty history");
     });
 
     Ok((

@@ -21,6 +21,7 @@
 use std::time::Instant;
 
 use bt_ard::state::{ArdRankFactors, RankSystem};
+use bt_ard::RankSolver;
 use bt_bench::Args;
 use bt_blocktri::gen::{rhs_panel, ClusteredToeplitz};
 use bt_dense::Mat;
@@ -80,12 +81,13 @@ fn main() {
 
             // Cold baseline: drain both pools before every call so each
             // solve re-allocates everything, as the pre-workspace code
-            // did (outputs included — the copy of `y_local` handed to
-            // `solve_replay` is solved in place and returned).
+            // did (outputs included — a fresh copy of `y_local` is
+            // solved in place).
             let cold_solve_s = time_collective(comm, reps, |comm| {
                 factors.reset_workspace();
                 panel_pool_drain();
-                let x = factors.solve_replay(comm, y_local.clone());
+                let mut x = y_local.clone();
+                factors.solve(comm, &mut x, None);
                 assert_eq!(x.len(), y_local.len());
             });
 

@@ -12,7 +12,7 @@
 //!     --m 6 --p 8 --ns 8,16,24,32,40,48,64 [--csv out.csv]
 //! ```
 
-use bt_ard::refine::ard_solve_refined;
+use bt_ard::session::ArdSession;
 use bt_ard::state::BoundaryMode;
 use bt_bench::{emit, Args, ExpConfig, GenKind, Table};
 use bt_blocktri::gen::random_rhs;
@@ -45,21 +45,18 @@ fn main() {
         let src = cfg.source();
         let t = BlockTridiag::from_source(&src);
         let y = random_rhs(n, m, 2, 3);
-        match ard_solve_refined(
-            cfg.p,
-            CostModel::zero(),
-            BoundaryMode::ExactScan,
-            &src,
-            &y,
-            max_sweeps,
-            1e-14,
-        ) {
+        let refined =
+            ArdSession::create_with(cfg.p, CostModel::zero(), BoundaryMode::ExactScan, &src)
+                .and_then(|session| session.solve_refined(&y, max_sweeps, 1e-14));
+        match refined {
             Ok((x, history)) => {
+                let residual = t.rel_residual(&x, &y);
+                // `--sweeps 0` asks for no refinement: no history.
                 table.row(&[
                     n.to_string(),
-                    format!("{:.1e}", history[0]),
-                    (history.len() - 1).to_string(),
-                    format!("{:.1e}", t.rel_residual(&x, &y)),
+                    format!("{:.1e}", history.first().copied().unwrap_or(residual)),
+                    history.len().saturating_sub(1).to_string(),
+                    format!("{residual:.1e}"),
                 ]);
             }
             Err(e) => {

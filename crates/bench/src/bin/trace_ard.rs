@@ -11,6 +11,7 @@
 //! ```
 
 use bt_ard::state::{ArdRankFactors, RankSystem};
+use bt_ard::RankSolver;
 use bt_bench::Args;
 use bt_blocktri::gen::rhs_panel;
 use bt_blocktri::gen::ClusteredToeplitz;
@@ -33,10 +34,10 @@ fn main() {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
         for batch in 0..2u64 {
-            let y_local: Vec<Mat> = (sys.lo..sys.hi)
+            let mut panels: Vec<Mat> = (sys.lo..sys.hi)
                 .map(|i| rhs_panel(m, r, batch, i))
                 .collect();
-            let _ = factors.solve_replay(comm, y_local);
+            factors.solve(comm, &mut panels, None);
         }
     });
 

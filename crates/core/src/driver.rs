@@ -14,6 +14,7 @@ use bt_mpsim::SimBackend;
 use bt_shm::ShmBackend;
 
 use crate::pcr::PcrRankFactors;
+use crate::solver::RankSolver;
 use crate::spike::SpikeRankFactors;
 use crate::state::{ArdRankFactors, BoundaryMode, RankSystem};
 
@@ -149,7 +150,7 @@ pub fn rd_solve_dist<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver(p, model, src, batches, Mode::ClassicRd)
+    run_driver(p, model, src, batches, Algo::Rd)
 }
 
 /// Solves every batch with the **accelerated recursive doubling**
@@ -169,25 +170,30 @@ pub fn ard_solve_dist<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver(p, model, src, batches, Mode::Accelerated)
+    run_driver(p, model, src, batches, Algo::Ard)
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    ClassicRd,
-    Accelerated,
+/// The solver a driver run uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Algo {
+    /// Classic recursive doubling: setup and fresh scans for every batch.
+    Rd,
+    /// Accelerated recursive doubling: one setup, one replay per batch.
+    Ard,
+    /// SPIKE partitioning with a gathered reduced system.
     Spike,
+    /// Amortized parallel cyclic reduction.
     Pcr,
 }
 
-impl Mode {
+impl Algo {
     /// Short algorithm label used in trace span arguments.
     fn name(self) -> &'static str {
         match self {
-            Mode::ClassicRd => "rd",
-            Mode::Accelerated => "ard",
-            Mode::Spike => "spike",
-            Mode::Pcr => "pcr",
+            Algo::Rd => "rd",
+            Algo::Ard => "ard",
+            Algo::Spike => "spike",
+            Algo::Pcr => "pcr",
         }
     }
 }
@@ -203,10 +209,10 @@ pub struct DriverConfig {
     /// Phase 1 boundary recovery mode.
     pub boundary: BoundaryMode,
     /// Memory-lean accelerated solves: shed the per-row prefix matrices
-    /// after setup and use the boundary-recurrence replay
-    /// ([`ArdRankFactors::solve_replay_lean`]). Same flop count and
-    /// message pattern, ~40% less stored factor memory. Ignored by the
-    /// classic-RD driver.
+    /// after setup ([`ArdRankFactors::shed_prefixes`]), so every replay
+    /// runs the boundary-recurrence body. Same flop count and message
+    /// pattern, ~40% less stored factor memory. Ignored by the other
+    /// drivers.
     pub lean: bool,
     /// Intra-rank threads for the dense kernels on each simulated rank.
     /// Overrides the cost model's `threads_per_rank` for the run:
@@ -234,7 +240,10 @@ impl DriverConfig {
             boundary: BoundaryMode::ExactScan,
             lean: false,
             threads_per_rank: bt_dense::threading::default_threads(),
-            rhs_tile: crate::state::env_rhs_tile(),
+            rhs_tile: std::env::var("BT_ARD_RHS_TILE")
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .filter(|&t| t > 0),
         }
     }
 
@@ -284,7 +293,7 @@ pub fn spike_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::Spike)
+    run_driver_cfg(cfg, src, batches, Algo::Spike)
 }
 
 /// Amortized parallel cyclic reduction under an explicit
@@ -300,7 +309,7 @@ pub fn pcr_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::Pcr)
+    run_driver_cfg(cfg, src, batches, Algo::Pcr)
 }
 
 /// Classic recursive doubling under an explicit [`DriverConfig`].
@@ -314,7 +323,7 @@ pub fn rd_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::ClassicRd)
+    run_driver_cfg(cfg, src, batches, Algo::Rd)
 }
 
 /// Accelerated recursive doubling under an explicit [`DriverConfig`].
@@ -328,7 +337,7 @@ pub fn ard_solve_cfg<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg(cfg, src, batches, Mode::Accelerated)
+    run_driver_cfg(cfg, src, batches, Algo::Ard)
 }
 
 /// Which [`SpmdBackend`] the environment selects for driver-level entry
@@ -367,67 +376,24 @@ impl BackendKind {
     }
 }
 
-/// [`ard_solve_cfg`] on an explicitly chosen backend `B`, bypassing the
-/// `BT_BACKEND` environment dispatch (benchmarks and cross-backend
-/// agreement tests pick both backends in one process this way).
+/// Runs `algo` under `cfg` on an explicitly chosen backend `B`, bypassing
+/// the `BT_BACKEND` environment dispatch of the `*_solve_cfg` entry
+/// points (benchmarks and cross-backend agreement tests pick both
+/// backends in one process this way; modeled-clock tests pin the
+/// simulator).
 ///
 /// # Errors
 ///
-/// [`FactorError`] if a block diagonal (or, in exact-scan mode, a
-/// superdiagonal block) is singular.
-pub fn ard_solve_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
-    cfg: &DriverConfig,
-    src: &S,
-    batches: &[BlockVec],
-) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg_on::<B, S>(cfg, src, batches, Mode::Accelerated)
-}
-
-/// [`pcr_solve_cfg`] on an explicitly chosen backend `B` (see
-/// [`ard_solve_cfg_on`]).
+/// [`FactorError`] if the solver's setup breaks down.
 ///
-/// # Errors
+/// # Panics
 ///
-/// [`FactorError`] if a diagonal block is singular at some elimination
-/// level.
-pub fn pcr_solve_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
+/// Panics if `batches` is empty, shapes are inconsistent, or `N < P`.
+pub fn solve_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     cfg: &DriverConfig,
+    algo: Algo,
     src: &S,
     batches: &[BlockVec],
-) -> Result<DistOutcome, FactorError> {
-    run_driver_cfg_on::<B, S>(cfg, src, batches, Mode::Pcr)
-}
-
-fn run_driver<S: BlockRowSource + Sync>(
-    p: usize,
-    model: CostModel,
-    src: &S,
-    batches: &[BlockVec],
-    mode: Mode,
-) -> Result<DistOutcome, FactorError> {
-    let cfg = DriverConfig::new(p).with_model(model);
-    run_driver_cfg(&cfg, src, batches, mode)
-}
-
-/// Dispatches to the `BT_BACKEND`-selected backend (monomorphized per
-/// backend; no dynamic dispatch on the rank hot path).
-fn run_driver_cfg<S: BlockRowSource + Sync>(
-    cfg: &DriverConfig,
-    src: &S,
-    batches: &[BlockVec],
-    mode: Mode,
-) -> Result<DistOutcome, FactorError> {
-    match BackendKind::from_env() {
-        BackendKind::Sim => run_driver_cfg_on::<SimBackend, S>(cfg, src, batches, mode),
-        BackendKind::Shm => run_driver_cfg_on::<ShmBackend, S>(cfg, src, batches, mode),
-    }
-}
-
-fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
-    cfg: &DriverConfig,
-    src: &S,
-    batches: &[BlockVec],
-    mode: Mode,
 ) -> Result<DistOutcome, FactorError> {
     let p = cfg.p;
     let model = cfg.model.with_threads_per_rank(cfg.threads_per_rank.max(1));
@@ -480,91 +446,41 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
                 factor_bytes: 0,
             };
 
-            match mode {
-                Mode::Accelerated => {
+            match algo {
+                Algo::Rd => {
+                    // No setup phase: rebuilding the factors (without
+                    // recorded scans, so the solve runs them fresh) is
+                    // part of every batch's cost.
                     comm.barrier();
-                    let vt0 = comm.virtual_time();
-                    let t0 = Instant::now();
-                    let span_setup =
-                        bt_obs::span_with("solver", "setup", || r#"{"algo":"ard"}"#.to_string());
-                    let mut factors = ArdRankFactors::setup_with(comm, &sys, true, cfg.boundary)?;
-                    if cfg.lean {
-                        factors.shed_prefixes();
+                    for (bi, mut y) in y_locals.into_iter().enumerate() {
+                        timed_solve(comm, &mut out, algo, bi, |comm| {
+                            let factors =
+                                ArdRankFactors::setup_with(comm, &sys, false, cfg.boundary)?;
+                            factors.solve(comm, &mut y, None);
+                            Ok(y)
+                        })?;
                     }
-                    comm.barrier();
-                    drop(span_setup);
-                    out.setup_wall = t0.elapsed();
-                    out.setup_vt = comm.virtual_time() - vt0;
-                    out.factor_bytes = factors.storage_bytes();
+                }
+                Algo::Ard => {
+                    let factors = timed_setup(comm, &mut out, algo, |comm| {
+                        let mut f = ArdRankFactors::setup_with(comm, &sys, true, cfg.boundary)?;
+                        if cfg.lean {
+                            f.shed_prefixes();
+                        }
+                        Ok(f)
+                    })?;
                     out.boundary_condition = factors.boundary_condition();
-                    for (bi, y_local) in y_locals.into_iter().enumerate() {
-                        let vt0 = comm.virtual_time();
-                        let t0 = Instant::now();
-                        let _span = bt_obs::span_with("solver", "solve_batch", || {
-                            format!("{{\"algo\":\"ard\",\"batch\":{bi}}}")
-                        });
-                        let x = factors.solve_replay_with(comm, y_local, cfg.lean, cfg.rhs_tile);
-                        comm.barrier();
-                        out.solve_wall.push(t0.elapsed());
-                        out.solve_vt.push(comm.virtual_time() - vt0);
-                        out.x_local.push(x);
-                    }
+                    solve_batches(comm, &mut out, algo, &factors, y_locals, cfg.rhs_tile)?;
                 }
-                Mode::Pcr | Mode::Spike => {
-                    comm.barrier();
-                    let vt0 = comm.virtual_time();
-                    let t0 = Instant::now();
-                    let algo = mode.name();
-                    let span_setup =
-                        bt_obs::span_with("solver", "setup", || format!("{{\"algo\":\"{algo}\"}}"));
-                    enum Either {
-                        Pcr(PcrRankFactors),
-                        Spike(SpikeRankFactors),
-                    }
-                    let factors = if mode == Mode::Pcr {
-                        Either::Pcr(PcrRankFactors::setup(comm, &sys)?)
-                    } else {
-                        Either::Spike(SpikeRankFactors::setup(comm, &sys)?)
-                    };
-                    comm.barrier();
-                    drop(span_setup);
-                    out.setup_wall = t0.elapsed();
-                    out.setup_vt = comm.virtual_time() - vt0;
-                    out.factor_bytes = match &factors {
-                        Either::Pcr(f) => f.storage_bytes(),
-                        Either::Spike(f) => f.storage_bytes(),
-                    };
-                    for (bi, y_local) in y_locals.iter().enumerate() {
-                        let vt0 = comm.virtual_time();
-                        let t0 = Instant::now();
-                        let _span = bt_obs::span_with("solver", "solve_batch", || {
-                            format!("{{\"algo\":\"{algo}\",\"batch\":{bi}}}")
-                        });
-                        let x = match &factors {
-                            Either::Pcr(f) => f.solve(comm, y_local),
-                            Either::Spike(f) => f.solve(comm, y_local),
-                        };
-                        comm.barrier();
-                        out.solve_wall.push(t0.elapsed());
-                        out.solve_vt.push(comm.virtual_time() - vt0);
-                        out.x_local.push(x);
-                    }
+                Algo::Pcr => {
+                    let factors =
+                        timed_setup(comm, &mut out, algo, |c| PcrRankFactors::setup(c, &sys))?;
+                    solve_batches(comm, &mut out, algo, &factors, y_locals, None)?;
                 }
-                Mode::ClassicRd => {
-                    comm.barrier();
-                    for (bi, y_local) in y_locals.iter().enumerate() {
-                        let vt0 = comm.virtual_time();
-                        let t0 = Instant::now();
-                        let _span = bt_obs::span_with("solver", "solve_batch", || {
-                            format!("{{\"algo\":\"rd\",\"batch\":{bi}}}")
-                        });
-                        let factors = ArdRankFactors::setup_with(comm, &sys, false, cfg.boundary)?;
-                        let x = factors.solve_fresh(comm, y_local);
-                        comm.barrier();
-                        out.solve_wall.push(t0.elapsed());
-                        out.solve_vt.push(comm.virtual_time() - vt0);
-                        out.x_local.push(x);
-                    }
+                Algo::Spike => {
+                    let factors =
+                        timed_setup(comm, &mut out, algo, |c| SpikeRankFactors::setup(c, &sys))?;
+                    solve_batches(comm, &mut out, algo, &factors, y_locals, None)?;
                 }
             }
             Ok(out)
@@ -584,10 +500,145 @@ fn run_driver_cfg_on<B: SpmdBackend, S: BlockRowSource + Sync>(
     })
 }
 
+/// Runs `setup` between barriers, recording its wall and modeled time
+/// and the factors' stored bytes.
+fn timed_setup<C: CommBackend, S: RankSolver>(
+    comm: &mut C,
+    out: &mut RankOutput,
+    algo: Algo,
+    setup: impl FnOnce(&mut C) -> Result<S, FactorError>,
+) -> Result<S, FactorError> {
+    comm.barrier();
+    let vt0 = comm.virtual_time();
+    let t0 = Instant::now();
+    let span = bt_obs::span_with("solver", "setup", || {
+        format!("{{\"algo\":\"{}\"}}", algo.name())
+    });
+    let factors = setup(comm)?;
+    comm.barrier();
+    drop(span);
+    out.setup_wall = t0.elapsed();
+    out.setup_vt = comm.virtual_time() - vt0;
+    out.factor_bytes = factors.storage_bytes();
+    Ok(factors)
+}
+
+/// Solves every batch in place with the stored `factors`, each timed.
+fn solve_batches<C: CommBackend, S: RankSolver>(
+    comm: &mut C,
+    out: &mut RankOutput,
+    algo: Algo,
+    factors: &S,
+    y_locals: Vec<Vec<Mat>>,
+    tile: Option<usize>,
+) -> Result<(), FactorError> {
+    for (bi, mut y) in y_locals.into_iter().enumerate() {
+        timed_solve(comm, out, algo, bi, |comm| {
+            factors.solve(comm, &mut y, tile);
+            Ok(y)
+        })?;
+    }
+    Ok(())
+}
+
+/// Runs batch `bi`'s `solve` up to a closing barrier, recording its wall
+/// and modeled time and its solution panels.
+fn timed_solve<C: CommBackend>(
+    comm: &mut C,
+    out: &mut RankOutput,
+    algo: Algo,
+    bi: usize,
+    solve: impl FnOnce(&mut C) -> Result<Vec<Mat>, FactorError>,
+) -> Result<(), FactorError> {
+    let vt0 = comm.virtual_time();
+    let t0 = Instant::now();
+    let _span = bt_obs::span_with("solver", "solve_batch", || {
+        format!("{{\"algo\":\"{}\",\"batch\":{bi}}}", algo.name())
+    });
+    let x = solve(comm)?;
+    comm.barrier();
+    out.solve_wall.push(t0.elapsed());
+    out.solve_vt.push(comm.virtual_time() - vt0);
+    out.x_local.push(x);
+    Ok(())
+}
+
+fn run_driver<S: BlockRowSource + Sync>(
+    p: usize,
+    model: CostModel,
+    src: &S,
+    batches: &[BlockVec],
+    algo: Algo,
+) -> Result<DistOutcome, FactorError> {
+    let cfg = DriverConfig::new(p).with_model(model);
+    run_driver_cfg(&cfg, src, batches, algo)
+}
+
+/// Dispatches to the `BT_BACKEND`-selected backend (monomorphized per
+/// backend; no dynamic dispatch on the rank hot path).
+fn run_driver_cfg<S: BlockRowSource + Sync>(
+    cfg: &DriverConfig,
+    src: &S,
+    batches: &[BlockVec],
+    algo: Algo,
+) -> Result<DistOutcome, FactorError> {
+    match BackendKind::from_env() {
+        BackendKind::Sim => solve_cfg_on::<SimBackend, S>(cfg, algo, src, batches),
+        BackendKind::Shm => solve_cfg_on::<ShmBackend, S>(cfg, algo, src, batches),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bt_blocktri::gen::{random_rhs, RandomDominant};
+    use bt_blocktri::gen::{materialize, random_rhs, ClusteredToeplitz, Poisson2D, RandomDominant};
+
+    const ZERO: CostModel = CostModel {
+        latency_s: 0.0,
+        per_byte_s: 0.0,
+        flop_rate: f64::INFINITY,
+        threads_per_rank: 1,
+    };
+
+    fn zero_cfg(p: usize) -> DriverConfig {
+        DriverConfig::new(p).with_model(ZERO)
+    }
+
+    #[test]
+    fn ard_spike_and_pcr_drivers_agree() {
+        let src = ClusteredToeplitz::standard(48, 4, 5);
+        let t = materialize(&src);
+        let y = vec![random_rhs(48, 4, 3, 2)];
+        let xa = &ard_solve_cfg(&zero_cfg(4), &src, &y).unwrap().x[0];
+        let xs = &spike_solve_cfg(&zero_cfg(4), &src, &y).unwrap().x[0];
+        let xp = &pcr_solve_cfg(&zero_cfg(4), &src, &y).unwrap().x[0];
+        assert!(t.rel_residual(xa, &y[0]) < 1e-11);
+        assert!(xs.rel_diff(xa) < 1e-10);
+        assert!(xp.rel_diff(xa) < 1e-10);
+    }
+
+    #[test]
+    fn pcr_driver_on_wide_spectrum() {
+        // PCR works where ARD's exact scan cannot.
+        let src = Poisson2D::new(200, 5);
+        let t = materialize(&src);
+        let batches: Vec<_> = (0..3).map(|seed| random_rhs(200, 5, 2, seed)).collect();
+        let out = pcr_solve_cfg(&zero_cfg(4), &src, &batches).unwrap();
+        for (seed, (x, y)) in out.x.iter().zip(&batches).enumerate() {
+            assert!(t.rel_residual(x, y) < 1e-11, "seed {seed}");
+        }
+        assert!(out.factor_bytes > 0);
+    }
+
+    #[test]
+    fn spike_factors_reused_across_batches() {
+        // One setup serves every batch: the same batch twice, against the
+        // same factors, gives the same answer.
+        let src = ClusteredToeplitz::standard(64, 6, 1);
+        let y = random_rhs(64, 6, 2, 3);
+        let out = spike_solve_cfg(&zero_cfg(4), &src, &[y.clone(), y]).unwrap();
+        assert_eq!(out.x[0], out.x[1], "same batch, same factors, same answer");
+    }
 
     #[test]
     fn timings_total_adds_phases() {

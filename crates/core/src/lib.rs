@@ -25,8 +25,19 @@
 //!   products and states;
 //! * [`pairs`] — the affine scan element of Phases 2/3;
 //! * [`scans`] — cross-rank Kogge-Stone scans (fresh / recorded / replay);
-//! * [`state`] — rank-level setup/solve (the library's core API);
-//! * [`driver`] — whole-run drivers over the `bt-mpsim` runtime;
+//! * [`solver`] — [`RankSolver`], the one factor trait: every kind's
+//!   in-place `solve(comm, panels, tile)`;
+//! * [`state`] — rank systems and the ARD factors; whether a solve runs
+//!   the full replay, the lean replay or classic RD's fresh scans
+//!   follows from what setup stored;
+//! * [`toeplitz`], [`mixed`], [`pcr`], [`spike`] — the other factor
+//!   kinds (constant-block store, `f32` factors, cyclic reduction,
+//!   SPIKE);
+//! * [`refine`] — the one iterative-refinement loop, over any kind;
+//! * [`session`] — the one session type: factor once, solve whenever;
+//! * [`driver`] — whole-run drivers over an SPMD backend ([`Algo`]);
+//! * [`service`], [`auto`], [`batch`] — the serving layer, strategy
+//!   selection and the batched small-system path;
 //! * [`complexity`] — the paper's cost model with this implementation's
 //!   constants, validated against measured counters.
 //!
@@ -67,18 +78,18 @@ pub mod toeplitz;
 pub use auto::{auto_solve, choose_strategy, AutoOutcome, Chosen, Strategy};
 pub use batch::{solve_single, BatchFactorError, BatchedFactors, BatchedSystems};
 pub use driver::{
-    ard_solve_cfg, ard_solve_cfg_on, ard_solve_dist, pcr_solve_cfg, pcr_solve_cfg_on, rd_solve_cfg,
-    rd_solve_dist, spike_solve_cfg, BackendKind, DistOutcome, DriverConfig, PhaseTimings,
+    ard_solve_cfg, ard_solve_dist, pcr_solve_cfg, rd_solve_cfg, rd_solve_dist, solve_cfg_on,
+    spike_solve_cfg, Algo, BackendKind, DistOutcome, DriverConfig, PhaseTimings,
 };
 pub use mixed::{MixedRankFactors, Precision, MIXED_COND_MAX};
 pub use pcr::PcrRankFactors;
-pub use refine::{ard_solve_refined, RefinedSolve};
+pub use refine::solve_refined;
 pub use service::{
     MatrixKey, ServiceConfig, ServiceError, ServiceOn, ServiceStats, SolveResponse, SolveTicket,
     SolverService,
 };
 pub use session::{ArdSession, ArdSessionOn};
-pub use solver::{PcrSession, RankSolver, Session, SpikeSession};
+pub use solver::RankSolver;
 pub use spike::SpikeRankFactors;
 pub use state::{rd_solve_rank, ArdRankFactors, BoundaryMode, RankSystem};
-pub use toeplitz::{detect_toeplitz, ToeplitzRankFactors, ToeplitzSession};
+pub use toeplitz::{detect_toeplitz, ToeplitzRankFactors};

@@ -30,9 +30,9 @@
 
 use bt_blocktri::FactorError;
 use bt_comm::CommBackend;
-use bt_dense::Mat;
+use bt_dense::{Element, Mat};
 
-use crate::refine::{halo_exchange_into, local_residual_into, sq_norm, RefinedSolve, REFINE_ITERS};
+use crate::solver::RankSolver;
 use crate::state::{ArdRankFactors, BoundaryMode, RankSystem};
 
 /// Gray-zone gate for the `f32` factorization: above this boundary
@@ -91,6 +91,15 @@ pub enum Precision {
 }
 
 impl Precision {
+    /// The precision of element type `E`.
+    pub fn of<E: Element>() -> Self {
+        if E::NAME == f32::NAME {
+            Precision::F32
+        } else {
+            Precision::F64
+        }
+    }
+
     /// Stable lowercase name (`"f32"` / `"f64"`), used in cache keys,
     /// flight events and bench records.
     pub fn as_str(self) -> &'static str {
@@ -182,14 +191,6 @@ impl MixedRankFactors {
         })
     }
 
-    /// The element type this instance factors and replays at.
-    pub fn precision(&self) -> Precision {
-        match self.inner {
-            Inner::F32(_) => Precision::F32,
-            Inner::F64(_) => Precision::F64,
-        }
-    }
-
     /// True when setup wanted `f32` but the gray-zone gate (or an `f32`
     /// breakdown) forced the `f64` path.
     pub fn fell_back(&self) -> bool {
@@ -204,128 +205,53 @@ impl MixedRankFactors {
             Inner::F64(f) => f.boundary_condition(),
         }
     }
+}
 
-    /// Bytes of stored factor state — half the `f64` figure on the
-    /// `f32` path (modulo the fixed-size trace bookkeeping).
-    pub fn storage_bytes(&self) -> u64 {
+/// One application of the factors at the selected precision: on the
+/// `f32` path the `f64` panels are converted, replayed at half width and
+/// converted back, so the `f32` error is left for refinement to correct.
+impl RankSolver for MixedRankFactors {
+    fn solve<C: CommBackend>(&self, comm: &mut C, panels: &mut [Mat], tile: Option<usize>) {
+        match &self.inner {
+            Inner::F64(f) => f.solve(comm, panels, tile),
+            Inner::F32(f) => {
+                let mut lo32: Vec<Mat<f32>> = panels.iter().map(Mat::convert).collect();
+                f.solve(comm, &mut lo32, tile);
+                for (dst, src) in panels.iter_mut().zip(&lo32) {
+                    src.convert_into(dst);
+                }
+            }
+        }
+    }
+
+    /// Half the `f64` figure on the `f32` path (modulo the fixed-size
+    /// trace bookkeeping).
+    fn storage_bytes(&self) -> u64 {
         match &self.inner {
             Inner::F32(f) => f.storage_bytes(),
             Inner::F64(f) => f.storage_bytes(),
         }
     }
 
-    /// Releases pooled solve-workspace buffers beyond `max_pooled_bytes`
-    /// (see [`ArdRankFactors::trim_workspace`]); returns bytes freed.
-    pub fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
+    fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
         match &self.inner {
             Inner::F32(f) => f.trim_workspace(max_pooled_bytes),
             Inner::F64(f) => f.trim_workspace(max_pooled_bytes),
         }
     }
 
-    /// Refined replay solve at the selected precision: on the `f32`
-    /// path the initial solve and every correction replay run at half
-    /// width (converting `M x R` panels at the boundary), while
-    /// residuals and the solution accumulate in `f64`; on the fallback
-    /// path this is exactly [`ArdRankFactors::solve_replay_refined`].
-    /// Collective. `y_local` panels are `f64` either way.
-    pub fn solve_refined<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        sys: &RankSystem,
-        y_local: &[Mat],
-        max_sweeps: usize,
-        tol: f64,
-    ) -> RefinedSolve {
-        match &self.inner {
-            Inner::F64(f) => f.solve_replay_refined(comm, sys, y_local, max_sweeps, tol),
-            Inner::F32(f) => solve_refined_f32(f, comm, sys, y_local, max_sweeps, tol),
+    fn precision(&self) -> Precision {
+        match self.inner {
+            Inner::F32(_) => Precision::F32,
+            Inner::F64(_) => Precision::F64,
         }
     }
-}
 
-/// The `f32` leg of [`MixedRankFactors::solve_refined`]: structure of
-/// [`ArdRankFactors::solve_replay_refined`], with every replay running
-/// at `f32` behind panel conversions.
-fn solve_refined_f32<C: CommBackend>(
-    factors: &ArdRankFactors<f32>,
-    comm: &mut C,
-    sys: &RankSystem,
-    y_local: &[Mat],
-    max_sweeps: usize,
-    tol: f64,
-) -> RefinedSolve {
-    let nl = y_local.len();
-    let (m, r) = y_local[0].shape();
-
-    // Initial solve at f32, in place on the converted right-hand side;
-    // `lo32` then carries each correction in place.
-    let mut lo32 = factors.solve_replay(comm, y_local.iter().map(|p| p.convert::<f32>()).collect());
-    let mut x: Vec<Mat> = lo32.iter().map(|p| p.convert::<f64>()).collect();
-
-    let y_norm2 = comm
-        .allreduce(sq_norm(y_local), |a, b| a + b)
-        .max(f64::MIN_POSITIVE);
-
-    // Reused sweep buffers: f64 residual panels and the halo panels.
-    // Warm sweeps allocate only inside the conversions' fixed buffers.
-    let mut res: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-    let mut halo_l = Mat::zeros(m, r);
-    let mut halo_r = Mat::zeros(m, r);
-    let mut history = Vec::with_capacity(max_sweeps + 1);
-
-    let mut residual = |comm: &mut C, x: &[Mat], res: &mut [Mat]| -> f64 {
-        halo_exchange_into(
-            comm,
-            x[0].as_ref(),
-            x[nl - 1].as_ref(),
-            halo_l.as_mut(),
-            halo_r.as_mut(),
-        );
-        local_residual_into(
-            comm,
-            sys,
-            x,
-            (halo_l.as_ref(), halo_r.as_ref()),
-            y_local,
-            res,
-        );
-        (comm.allreduce(sq_norm(res), |a, b| a + b) / y_norm2).sqrt()
-    };
-
-    let mut rel = residual(comm, &x, &mut res);
-    history.push(rel);
-
-    for sweep in 0..max_sweeps {
-        if rel <= tol {
-            break;
-        }
-        let _span = bt_obs::span_with("solver", "refine.sweep", || {
-            format!("{{\"sweep\":{sweep},\"rel_residual\":{rel:e},\"precision\":\"f32\"}}")
-        });
-        // Correction at f32: dx = F^{-1} res.
-        for (dst, src) in lo32.iter_mut().zip(&res) {
-            src.convert_into(dst);
-        }
-        lo32 = factors.solve_replay(comm, lo32);
-        for (xk, dk) in x.iter_mut().zip(&lo32) {
-            xk.add_assign_converted(dk);
-        }
-        let new_rel = residual(comm, &x, &mut res);
-        if !new_rel.is_finite() || new_rel >= rel {
-            // Diverging or stagnant: undo the last correction and stop.
-            for (xk, dk) in x.iter_mut().zip(&lo32) {
-                xk.sub_assign_converted(dk);
-            }
-            break;
-        }
-        rel = new_rel;
-        history.push(rel);
-    }
-    REFINE_ITERS.record((history.len() - 1) as u64);
-    RefinedSolve {
-        x_local: x,
-        history,
+    /// Mixed solves always refine, on either path: the `f32` replay error
+    /// must be corrected in `f64` before anyone sees the answer, and the
+    /// `f64` fallback keeps the same contract.
+    fn default_refinement(&self) -> Option<(usize, f64)> {
+        Some((MIXED_DEFAULT_SWEEPS, MIXED_DEFAULT_TOL))
     }
 }
 
@@ -353,28 +279,22 @@ mod tests {
         let out = bt_mpsim::run_spmd(4, ZERO, |comm| {
             let sys = RankSystem::from_source(src, 4, comm.rank());
             let factors = MixedRankFactors::setup(comm, &sys).unwrap();
-            let y_local: Vec<Mat> = part
+            let mut x_local: Vec<Mat> = part
                 .range(comm.rank())
                 .map(|i| y.blocks[i].clone())
                 .collect();
-            let refined = factors.solve_refined(
-                comm,
-                &sys,
-                &y_local,
-                MIXED_DEFAULT_SWEEPS,
-                MIXED_DEFAULT_TOL,
-            );
-            (sys.lo, factors.precision(), factors.fell_back(), refined)
+            // No explicit refinement: the kind's default applies.
+            crate::refine::solve_refined(&factors, comm, &sys, &mut x_local, None, None);
+            (x_local, factors.precision(), factors.fell_back())
         });
-        let mut x = bt_blocktri::BlockVec::zeros(n, m, 2);
+        let mut blocks = Vec::with_capacity(n);
         let (mut precision, mut fell_back) = (Precision::F64, false);
-        for (lo, prec, fb, refined) in out.results {
-            for (k, panel) in refined.x_local.into_iter().enumerate() {
-                x.blocks[lo + k] = panel;
-            }
+        for (x_local, prec, fb) in out.results {
+            blocks.extend(x_local);
             precision = prec;
             fell_back = fb;
         }
+        let x = bt_blocktri::BlockVec::from_blocks(blocks);
         // Either path must land at f64-replay quality.
         assert!(t.rel_residual(&x, &y) < 1e-11);
         (precision, fell_back)

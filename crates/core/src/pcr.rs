@@ -36,6 +36,7 @@ use bt_blocktri::{FactorError, RowPartition};
 use bt_comm::CommBackend;
 use bt_dense::{gemm, gemm_flops, lu_flops, lu_solve_flops, LuFactors, Mat, Trans};
 
+use crate::solver::RankSolver;
 use crate::state::RankSystem;
 
 /// Tag bases for the per-level halo exchanges.
@@ -344,32 +345,17 @@ impl PcrRankFactors {
     pub fn level_count(&self) -> usize {
         self.levels.len()
     }
+}
 
-    /// Bytes of stored factors on this rank.
-    pub fn storage_bytes(&self) -> u64 {
-        let mat_bytes = (self.m * self.m * 8) as u64;
-        let coef: u64 = self
-            .levels
-            .iter()
-            .flatten()
-            .map(|(a, g)| (a.is_some() as u64 + g.is_some() as u64) * mat_bytes)
-            .sum();
-        coef + self.local_len() as u64 * mat_bytes
-    }
-
-    /// Solves one right-hand-side batch (collective): per level, a halo
-    /// exchange of `M x R` panels and two GEMM updates per row; then the
-    /// independent diagonal solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics on panel shape mismatch.
-    pub fn solve<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
+/// Per level, a halo exchange of `M x R` panels and two GEMM updates per
+/// row; then the independent diagonal solves. No pipelined scan, so the
+/// tile is ignored.
+impl RankSolver for PcrRankFactors {
+    fn solve<C: CommBackend>(&self, comm: &mut C, y: &mut [Mat], _tile: Option<usize>) {
         let nl = self.local_len();
         let m = self.m;
-        assert_eq!(y_local.len(), nl, "rhs panel count mismatch");
-        let r = y_local[0].cols();
-        let mut y: Vec<Mat> = y_local.to_vec();
+        assert_eq!(y.len(), nl, "rhs panel count mismatch");
+        let r = y[0].cols();
 
         let mut s = 1usize;
         for (level_idx, coef) in self.levels.iter().enumerate() {
@@ -421,19 +407,28 @@ impl PcrRankFactors {
                 }
                 new_y.push(v);
             }
-            y = new_y;
+            for (yk, v) in y.iter_mut().zip(new_y) {
+                *yk = v;
+            }
             s <<= 1;
         }
 
         // Decoupled: x_i = B_i^{-1} y_i.
-        y.iter()
-            .zip(&self.final_lu)
-            .map(|(v, lu)| {
-                let x = lu.solve(v);
-                comm.compute(lu_solve_flops(m, r));
-                x
-            })
-            .collect()
+        for (v, lu) in y.iter_mut().zip(&self.final_lu) {
+            *v = lu.solve(v);
+            comm.compute(lu_solve_flops(m, r));
+        }
+    }
+
+    fn storage_bytes(&self) -> u64 {
+        let mat_bytes = (self.m * self.m * 8) as u64;
+        let coef: u64 = self
+            .levels
+            .iter()
+            .flatten()
+            .map(|(a, g)| (a.is_some() as u64 + g.is_some() as u64) * mat_bytes)
+            .sum();
+        coef + self.local_len() as u64 * mat_bytes
     }
 }
 
@@ -461,11 +456,12 @@ mod tests {
         let out = run_spmd(p, ZERO, |comm| {
             let sys = RankSystem::from_source(src, p, comm.rank());
             let factors = PcrRankFactors::setup(comm, &sys).expect("setup");
-            let y_local: Vec<Mat> = part
+            let mut x_local: Vec<Mat> = part
                 .range(comm.rank())
                 .map(|i| y.blocks[i].clone())
                 .collect();
-            (sys.lo, factors.solve(comm, &y_local))
+            factors.solve(comm, &mut x_local, None);
+            (sys.lo, x_local)
         });
         let mut x = BlockVec::zeros(n, m, y.r());
         for (lo, panels) in out.results {
@@ -575,11 +571,12 @@ mod tests {
             let mut results = Vec::new();
             let before_solves = comm.stats().flops;
             for y in ys_ref {
-                let y_local: Vec<Mat> = part
+                let mut x_local: Vec<Mat> = part
                     .range(comm.rank())
                     .map(|i| y.blocks[i].clone())
                     .collect();
-                results.push((sys.lo, factors.solve(comm, &y_local)));
+                factors.solve(comm, &mut x_local, None);
+                results.push((sys.lo, x_local));
             }
             let solve_flops = comm.stats().flops - before_solves;
             assert!(factors.storage_bytes() > 0);

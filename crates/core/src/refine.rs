@@ -1,4 +1,4 @@
-//! Iterative refinement on top of the accelerated replay path.
+//! Iterative refinement over any [`RankSolver`]: [`solve_refined`].
 //!
 //! Refinement is the classic production technique: with any factorization
 //! `T ≈ F`, iterate `x <- x + F^{-1}(y - T x)`. Each sweep costs one
@@ -13,11 +13,11 @@
 //! back to machine precision, extending the paper's algorithm's usable
 //! range at pure `O(M^2 R)` per-solve cost.
 
-use bt_blocktri::FactorError;
 use bt_comm::CommBackend;
 use bt_dense::{gemm, gemm_flops, Mat, MatMut, MatRef, Trans};
 
-use crate::state::{ArdRankFactors, BoundaryMode, RankSystem};
+use crate::solver::RankSolver;
+use crate::state::RankSystem;
 
 /// Tags for the residual halo exchange.
 mod tags {
@@ -26,9 +26,9 @@ mod tags {
 }
 
 /// Accepted refinement sweeps per refined solve (`history.len() - 1`),
-/// across both the pure-`f64` and the mixed-precision paths. Exported
-/// as `bt_ard.refine.iters` by the Prometheus endpoint; `BT_OBS`-gated.
-pub(crate) static REFINE_ITERS: bt_obs::Histogram = bt_obs::Histogram::new("bt_ard.refine.iters");
+/// across every factor kind. Exported as `bt_ard.refine.iters` by the
+/// Prometheus endpoint; `BT_OBS`-gated.
+static REFINE_ITERS: bt_obs::Histogram = bt_obs::Histogram::new("bt_ard.refine.iters");
 
 /// Exchanges boundary panels with both neighbours: sends this rank's
 /// first/last panels, returns `(x_{lo-1}, x_{hi})` (zero panels at the
@@ -146,164 +146,118 @@ pub fn local_residual_into<C: CommBackend>(
 }
 
 /// Squared Frobenius norm of a panel list (local part).
-pub(crate) fn sq_norm(panels: &[Mat]) -> f64 {
+fn sq_norm(panels: &[Mat]) -> f64 {
     panels
         .iter()
         .map(|p| p.as_slice().iter().map(|v| v * v).sum::<f64>())
         .sum()
 }
 
-/// Result of a refined solve.
-#[derive(Debug, Clone)]
-pub struct RefinedSolve {
-    /// The refined local solution panels.
-    pub x_local: Vec<Mat>,
-    /// Global relative residual after each sweep, starting with the
-    /// unrefined solve's residual (`history[0]`) — identical on every
-    /// rank.
-    pub history: Vec<f64>,
-}
-
-impl ArdRankFactors {
-    /// Replay solve followed by up to `max_sweeps` iterative-refinement
-    /// sweeps. Stops early once the global relative residual drops below
-    /// `tol` or stops improving. Collective; all ranks receive the same
-    /// `history`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if setup was run without trace recording or the prefix
-    /// matrices were shed (refinement reuses the standard replay), or on
-    /// shape mismatch.
-    pub fn solve_replay_refined<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        sys: &RankSystem,
-        y_local: &[Mat],
-        max_sweeps: usize,
-        tol: f64,
-    ) -> RefinedSolve {
-        let mut x = self.solve_replay(comm, y_local.to_vec());
-        let y_norm2 = comm
-            .allreduce(sq_norm(y_local), |a, b| a + b)
-            .max(f64::MIN_POSITIVE);
-
-        // One set of sweep buffers, reused every iteration: residual and
-        // correction panels plus the two halo panels. After the first
-        // sweep the refinement loop allocates nothing.
-        let nl = x.len();
-        let (m, r) = x[0].shape();
-        let mut res: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-        let mut dx: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-        let mut halo_l = Mat::zeros(m, r);
-        let mut halo_r = Mat::zeros(m, r);
-        let mut history = Vec::with_capacity(max_sweeps + 1);
-
-        let mut residual = |comm: &mut C, x: &[Mat], res: &mut [Mat]| -> f64 {
-            halo_exchange_into(
-                comm,
-                x[0].as_ref(),
-                x[nl - 1].as_ref(),
-                halo_l.as_mut(),
-                halo_r.as_mut(),
-            );
-            local_residual_into(
-                comm,
-                sys,
-                x,
-                (halo_l.as_ref(), halo_r.as_ref()),
-                y_local,
-                res,
-            );
-            (comm.allreduce(sq_norm(res), |a, b| a + b) / y_norm2).sqrt()
-        };
-
-        let mut rel = residual(comm, &x, &mut res);
-        history.push(rel);
-
-        for sweep in 0..max_sweeps {
-            if rel <= tol {
-                break;
-            }
-            let _span = bt_obs::span_with("solver", "refine.sweep", || {
-                format!("{{\"sweep\":{sweep},\"rel_residual\":{rel:e}}}")
-            });
-            // Correction: dx = F^{-1} res; x += dx.
-            self.solve_replay_into(comm, &res, &mut dx);
-            for (xk, dk) in x.iter_mut().zip(&dx) {
-                xk.add_assign(dk);
-            }
-            let new_rel = residual(comm, &x, &mut res);
-            if !new_rel.is_finite() || new_rel >= rel {
-                // Diverging or stagnant: undo the last correction and stop.
-                for (xk, dk) in x.iter_mut().zip(&dx) {
-                    xk.sub_assign(dk);
-                }
-                break;
-            }
-            rel = new_rel;
-            history.push(rel);
-        }
-        REFINE_ITERS.record((history.len() - 1) as u64);
-        RefinedSolve {
-            x_local: x,
-            history,
-        }
-    }
-}
-
-/// Convenience driver: accelerated solve with refinement over one batch,
-/// returning the assembled solution and the residual history.
+/// Solves one batch in place with `factors`, then runs up to `max_sweeps`
+/// iterative-refinement sweeps against `sys`, stopping once the global
+/// relative residual drops to `tol` or stops improving (a sweep that
+/// does not improve is undone). `refine = None` takes the kind's own
+/// [`RankSolver::default_refinement`]; when that is `None` too this is
+/// one plain solve and the history is empty. Otherwise returns the
+/// global relative residual after the solve (`history[0]`) and after
+/// each accepted sweep, identical on every rank. Collective.
 ///
-/// # Errors
-///
-/// [`FactorError`] if setup breaks down.
+/// Every correction is one more [`RankSolver::solve`], so the same loop
+/// refines the `f64` replays and the mixed kind's `f32` ones.
 ///
 /// # Panics
 ///
-/// Panics if `n < p` or on shape mismatch.
-pub fn ard_solve_refined<S: bt_blocktri::BlockRowSource + Sync>(
-    p: usize,
-    model: bt_mpsim::CostModel,
-    boundary: BoundaryMode,
-    src: &S,
-    y: &bt_blocktri::BlockVec,
-    max_sweeps: usize,
-    tol: f64,
-) -> Result<(bt_blocktri::BlockVec, Vec<f64>), FactorError> {
-    let n = src.n();
-    let m = src.m();
-    assert!(n >= p, "need at least one block row per rank");
-    let part = bt_blocktri::RowPartition::new(n, p);
-    let out = bt_mpsim::run_spmd(p, model, |comm| -> Result<_, FactorError> {
-        let sys = match boundary {
-            BoundaryMode::ExactScan => RankSystem::from_source(src, p, comm.rank()),
-            BoundaryMode::Windowed(w) => RankSystem::from_source_windowed(src, p, comm.rank(), w),
-        };
-        let factors = ArdRankFactors::setup_with(comm, &sys, true, boundary)?;
-        let y_local: Vec<Mat> = part
-            .range(comm.rank())
-            .map(|i| y.blocks[i].clone())
-            .collect();
-        let refined = factors.solve_replay_refined(comm, &sys, &y_local, max_sweeps, tol);
-        Ok((sys.lo, refined))
-    });
-    let mut x = bt_blocktri::BlockVec::zeros(n, m, y.r());
-    let mut history = Vec::new();
-    for res in out.results {
-        let (lo, refined) = res?;
-        for (k, panel) in refined.x_local.into_iter().enumerate() {
-            x.blocks[lo + k] = panel;
+/// Panics on shape mismatch.
+pub fn solve_refined<S: RankSolver, C: CommBackend>(
+    factors: &S,
+    comm: &mut C,
+    sys: &RankSystem,
+    panels: &mut [Mat],
+    refine: Option<(usize, f64)>,
+    tile: Option<usize>,
+) -> Vec<f64> {
+    let Some((max_sweeps, tol)) = refine.or_else(|| factors.default_refinement()) else {
+        factors.solve(comm, panels, tile);
+        return Vec::new();
+    };
+    let y_local = panels.to_vec();
+    factors.solve(comm, panels, tile);
+    let x = panels;
+    let y_norm2 = comm
+        .allreduce(sq_norm(&y_local), |a, b| a + b)
+        .max(f64::MIN_POSITIVE);
+
+    // One set of sweep buffers, reused every iteration: residual and
+    // correction panels plus the two halo panels.
+    let nl = x.len();
+    let (m, r) = x[0].shape();
+    let mut res: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
+    let mut dx: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
+    let mut halo_l = Mat::zeros(m, r);
+    let mut halo_r = Mat::zeros(m, r);
+    let mut history = Vec::with_capacity(max_sweeps + 1);
+
+    let mut residual = |comm: &mut C, x: &[Mat], res: &mut [Mat]| -> f64 {
+        halo_exchange_into(
+            comm,
+            x[0].as_ref(),
+            x[nl - 1].as_ref(),
+            halo_l.as_mut(),
+            halo_r.as_mut(),
+        );
+        local_residual_into(
+            comm,
+            sys,
+            x,
+            (halo_l.as_ref(), halo_r.as_ref()),
+            &y_local,
+            res,
+        );
+        (comm.allreduce(sq_norm(res), |a, b| a + b) / y_norm2).sqrt()
+    };
+
+    let mut rel = residual(comm, x, &mut res);
+    history.push(rel);
+
+    for sweep in 0..max_sweeps {
+        if rel <= tol {
+            break;
         }
-        history = refined.history;
+        let _span = bt_obs::span_with("solver", "refine.sweep", || {
+            format!(
+                "{{\"sweep\":{sweep},\"rel_residual\":{rel:e},\"precision\":\"{}\"}}",
+                factors.precision()
+            )
+        });
+        // Correction: dx = F^{-1} res, solved in place in the residual's
+        // panels (the next residual overwrites the swapped-out ones).
+        std::mem::swap(&mut res, &mut dx);
+        factors.solve(comm, &mut dx, tile);
+        for (xk, dk) in x.iter_mut().zip(&dx) {
+            xk.add_assign(dk);
+        }
+        let new_rel = residual(comm, x, &mut res);
+        if !new_rel.is_finite() || new_rel >= rel {
+            // Diverging or stagnant: undo the last correction and stop.
+            for (xk, dk) in x.iter_mut().zip(&dx) {
+                xk.sub_assign(dk);
+            }
+            break;
+        }
+        rel = new_rel;
+        history.push(rel);
     }
-    Ok((x, history))
+    REFINE_ITERS.record((history.len() - 1) as u64);
+    history
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ArdSession;
+    use crate::state::BoundaryMode;
     use bt_blocktri::gen::{materialize, random_rhs, ClusteredToeplitz, Poisson2D};
+    use bt_blocktri::{BlockRowSource, BlockVec};
     use bt_mpsim::CostModel;
 
     const ZERO: CostModel = CostModel {
@@ -313,13 +267,25 @@ mod tests {
         threads_per_rank: 1,
     };
 
+    /// Exact-scan session solve of `y` with refinement on `p` ranks.
+    fn refined<S: BlockRowSource + Sync>(
+        p: usize,
+        src: &S,
+        y: &BlockVec,
+        max_sweeps: usize,
+        tol: f64,
+    ) -> (BlockVec, Vec<f64>) {
+        ArdSession::create_with(p, ZERO, BoundaryMode::ExactScan, src)
+            .and_then(|s| s.solve_refined(y, max_sweeps, tol))
+            .unwrap()
+    }
+
     #[test]
     fn refinement_keeps_good_solutions_good() {
         let src = ClusteredToeplitz::standard(64, 4, 3);
         let t = materialize(&src);
         let y = random_rhs(64, 4, 3, 1);
-        let (x, history) =
-            ard_solve_refined(4, ZERO, BoundaryMode::ExactScan, &src, &y, 3, 1e-14).unwrap();
+        let (x, history) = refined(4, &src, &y, 3, 1e-14);
         assert!(t.rel_residual(&x, &y) < 1e-12);
         // Already at machine precision: at most one sweep recorded.
         assert!(history[0] < 1e-12, "history {history:?}");
@@ -338,8 +304,7 @@ mod tests {
         let src = Poisson2D::new(32, 6);
         let t = materialize(&src);
         let y = random_rhs(32, 6, 2, 5);
-        let (x, history) =
-            ard_solve_refined(8, ZERO, BoundaryMode::ExactScan, &src, &y, 11, 1e-13).unwrap();
+        let (x, history) = refined(8, &src, &y, 11, 1e-13);
         assert!(
             history[0] > 1e-8,
             "premise: unrefined solve is degraded, got {:.1e}",
@@ -374,8 +339,7 @@ mod tests {
     fn residual_history_is_monotone() {
         let src = Poisson2D::new(24, 4);
         let y = random_rhs(24, 4, 2, 7);
-        let (_, history) =
-            ard_solve_refined(4, ZERO, BoundaryMode::ExactScan, &src, &y, 6, 0.0).unwrap();
+        let (_, history) = refined(4, &src, &y, 6, 0.0);
         for w in history.windows(2) {
             assert!(w[1] <= w[0], "history not monotone: {history:?}");
         }

@@ -188,7 +188,8 @@ pub struct ServiceConfig {
     /// instead of spawning `ranks` threads per dispatch.
     pub world_reuse: bool,
     /// When set, trim each rank's pooled solve workspace back to this
-    /// many bytes after every dispatch, so one oversized batch does not
+    /// many bytes after every dispatched solve (before its tickets are
+    /// answered), so one oversized batch does not
     /// pin its high-water allocation for the life of the service.
     pub ws_trim_bytes: Option<u64>,
     /// Directory the flight-recorder ring is dumped to when a dispatched
@@ -954,7 +955,7 @@ fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
     // request. Installed on the dispatcher thread for the whole solve,
     // so assembly, the session replay and every rank's scan spans all
     // carry the request ids (the session hands the context to its rank
-    // threads; see `ArdSession::solve_inner`).
+    // threads; see `ArdSessionOn::solve`).
     let batch_id = bt_obs::ctx::next_batch_id();
     let request_ids: Vec<u64> = batch.iter().map(|p| p.request_id).collect();
     let ctx = bt_obs::TraceCtx::batch(batch_id, &request_ids);
@@ -1014,6 +1015,15 @@ fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
     LAT_SOLVE.record_duration(solve_time);
     drop(span);
 
+    // Trim before any ticket is answered, so a caller that reads
+    // `stats()` after its response already sees the trim. Only after a
+    // solve that returned: a panicked one may have lost the factors,
+    // and checking them out again would panic the dispatcher.
+    if let (Some(budget), Ok(_)) = (inner.cfg.ws_trim_bytes, &result) {
+        let released = session.trim_workspaces(budget);
+        inner.counters.ws_trimmed_bytes.fetch_add(released, Relaxed);
+    }
+
     match result {
         Ok(Ok(x_wide)) => {
             bt_obs::flight::record("solve_ok", 0, batch_id, key, "");
@@ -1064,11 +1074,6 @@ fn dispatch_spmd<B: SpmdBackend>(inner: &Inner<B>, batch: Vec<Pending<B>>) {
                 let _ = p.tx.send(Err(ServiceError::SolveFailed(msg.clone())));
             }
         }
-    }
-
-    if let Some(budget) = inner.cfg.ws_trim_bytes {
-        let released = session.trim_workspaces(budget);
-        inner.counters.ws_trimmed_bytes.fetch_add(released, Relaxed);
     }
 }
 

@@ -10,6 +10,14 @@
 //! factors — `O(M^2 R (N/P + log P))` per call, no matrix work ever
 //! again.
 //!
+//! It is the suite's one session type. The constructor picks the factor
+//! kind — [`ArdSessionOn::create`] / [`ArdSessionOn::create_with`] (ARD,
+//! either boundary mode), [`ArdSessionOn::create_mixed`] and
+//! [`ArdSessionOn::create_toeplitz`] — and every solve runs through the
+//! kind's [`RankSolver`] implementation and the one refinement loop
+//! ([`crate::refine::solve_refined`]), so the solve path does not depend
+//! on the kind.
+//!
 //! ## Concurrency semantics
 //!
 //! A session is `Sync`; any number of threads may call
@@ -47,45 +55,52 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::mixed::{MixedRankFactors, Precision};
+use crate::refine::solve_refined;
+use crate::solver::RankSolver;
 use crate::state::{ArdRankFactors, BoundaryMode, RankSystem};
 use crate::toeplitz::ToeplitzRankFactors;
 
-/// A rank's factor state: the classic full-precision factors, the
-/// precision-adaptive mixed set (`f32` + refinement, with its own
-/// gray-zone fallback to `f64`), or the constant-block Toeplitz store
-/// (`O(log)`-sized factors over the same replay pipeline).
-enum SessionFactors {
-    Plain(ArdRankFactors),
-    Mixed(MixedRankFactors),
-    Toeplitz(ToeplitzRankFactors),
+/// A rank's factors of any [`RankSolver`] kind behind one object-safe
+/// interface on the session's communicator type `C`, so one session type
+/// serves every kind without naming it.
+trait SessionFactors<C>: Send {
+    /// [`solve_refined`] at the cost model's tile.
+    fn solve_dyn(
+        &self,
+        comm: &mut C,
+        sys: &RankSystem,
+        panels: &mut [Mat],
+        refine: Option<(usize, f64)>,
+    ) -> Vec<f64>;
+
+    /// [`RankSolver::trim_workspace`].
+    fn trim_dyn(&self, max_pooled_bytes: u64) -> u64;
 }
 
-impl SessionFactors {
-    fn storage_bytes(&self) -> u64 {
-        match self {
-            SessionFactors::Plain(f) => f.storage_bytes(),
-            SessionFactors::Mixed(f) => f.storage_bytes(),
-            SessionFactors::Toeplitz(f) => f.storage_bytes(),
-        }
+impl<C: CommBackend, S: RankSolver + Send> SessionFactors<C> for S {
+    fn solve_dyn(
+        &self,
+        comm: &mut C,
+        sys: &RankSystem,
+        panels: &mut [Mat],
+        refine: Option<(usize, f64)>,
+    ) -> Vec<f64> {
+        solve_refined(self, comm, sys, panels, refine, None)
     }
 
-    fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
-        match self {
-            SessionFactors::Plain(f) => f.trim_workspace(max_pooled_bytes),
-            SessionFactors::Mixed(f) => f.trim_workspace(max_pooled_bytes),
-            SessionFactors::Toeplitz(f) => f.trim_workspace(max_pooled_bytes),
-        }
+    fn trim_dyn(&self, max_pooled_bytes: u64) -> u64 {
+        self.trim_workspace(max_pooled_bytes)
     }
 }
 
 /// Per-rank state checked out by a solve: the rank's system slice and
-/// its recorded factors.
-type RankState = (RankSystem, SessionFactors);
+/// its factors.
+type RankState<C> = (RankSystem, Box<dyn SessionFactors<C>>);
 
 /// The factor store a session guards.
-enum FactorStore {
+enum FactorStore<C> {
     /// Factors at rest; a solve may check them out.
-    Available(Vec<RankState>),
+    Available(Vec<RankState<C>>),
     /// A solve is running with the factors.
     CheckedOut,
     /// A panicked solve took a rank's factors down with it; the session
@@ -129,7 +144,7 @@ pub struct ArdSessionOn<B: SpmdBackend> {
     precision: Precision,
     /// Per-rank factors, handed out to worlds on each solve and returned
     /// afterwards. Held only for checkout/restore — never across a solve.
-    state: Mutex<FactorStore>,
+    state: Mutex<FactorStore<B::Comm>>,
     /// Wakes solves queued behind a checked-out store.
     state_cv: Condvar,
     /// When world reuse is on, the persistent world (built lazily).
@@ -153,8 +168,11 @@ pub type ArdSession = ArdSessionOn<SimBackend>;
 /// [`FactorStore::Lost`] instead of silently shrinking.
 struct FactorLease<'a, B: SpmdBackend> {
     session: &'a ArdSessionOn<B>,
-    slots: Option<Arc<Vec<parking_lot::Mutex<Option<RankState>>>>>,
+    slots: Option<Arc<RankSlots<B::Comm>>>,
 }
+
+/// Per-rank slots a checked-out store travels in.
+type RankSlots<C> = Vec<parking_lot::Mutex<Option<RankState<C>>>>;
 
 impl<'a, B: SpmdBackend> FactorLease<'a, B> {
     /// Blocks until the factors are available, then checks them out.
@@ -187,7 +205,7 @@ impl<'a, B: SpmdBackend> FactorLease<'a, B> {
             _ => unreachable!("loop above exits only on Available"),
         };
         drop(guard);
-        let slots: Vec<parking_lot::Mutex<Option<RankState>>> = state
+        let slots: RankSlots<B::Comm> = state
             .into_iter()
             .map(|s| parking_lot::Mutex::new(Some(s)))
             .collect();
@@ -198,7 +216,7 @@ impl<'a, B: SpmdBackend> FactorLease<'a, B> {
     }
 
     /// The per-rank slots, for handing to an SPMD world.
-    fn slots(&self) -> &Arc<Vec<parking_lot::Mutex<Option<RankState>>>> {
+    fn slots(&self) -> &Arc<RankSlots<B::Comm>> {
         self.slots.as_ref().expect("slots present until drop")
     }
 }
@@ -211,10 +229,9 @@ impl<B: SpmdBackend> Drop for FactorLease<'_, B> {
         // lease holds the only reference — unless a rank died between
         // taking its slot and restoring it, in which case its factors are
         // gone and the session is lost.
-        let restored: Option<Vec<RankState>> = Arc::try_unwrap(slots)
+        let restored: Option<Vec<RankState<B::Comm>>> = Arc::try_unwrap(slots)
             .ok()
-            .map(|v| v.into_iter().map(parking_lot::Mutex::into_inner).collect())
-            .and_then(|v: Vec<Option<RankState>>| v.into_iter().collect());
+            .and_then(|v| v.into_iter().map(parking_lot::Mutex::into_inner).collect());
         let mut guard = self
             .session
             .state
@@ -259,9 +276,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         src: &S,
     ) -> Result<Self, FactorError> {
         Self::create_impl(p, model, boundary, src, move |comm, sys| {
-            Ok(SessionFactors::Plain(ArdRankFactors::setup_with(
-                comm, sys, true, boundary,
-            )?))
+            ArdRankFactors::setup_with(comm, sys, true, boundary)
         })
     }
 
@@ -286,9 +301,13 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         model: CostModel,
         src: &S,
     ) -> Result<Self, FactorError> {
-        Self::create_impl(p, model, BoundaryMode::ExactScan, src, |comm, sys| {
-            Ok(SessionFactors::Mixed(MixedRankFactors::setup(comm, sys)?))
-        })
+        Self::create_impl(
+            p,
+            model,
+            BoundaryMode::ExactScan,
+            src,
+            MixedRankFactors::setup,
+        )
     }
 
     /// [`ArdSession::create`] through the constant-block Toeplitz fast
@@ -313,14 +332,16 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         model: CostModel,
         src: &S,
     ) -> Result<Self, FactorError> {
-        Self::create_impl(p, model, BoundaryMode::ExactScan, src, |comm, sys| {
-            Ok(SessionFactors::Toeplitz(ToeplitzRankFactors::setup(
-                comm, sys,
-            )?))
-        })
+        Self::create_impl(
+            p,
+            model,
+            BoundaryMode::ExactScan,
+            src,
+            ToeplitzRankFactors::setup,
+        )
     }
 
-    fn create_impl<S, F>(
+    fn create_impl<K, S, F>(
         p: usize,
         model: CostModel,
         boundary: BoundaryMode,
@@ -328,8 +349,9 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         factor: F,
     ) -> Result<Self, FactorError>
     where
+        K: RankSolver + Send + 'static,
         S: BlockRowSource + Sync,
-        F: Fn(&mut B::Comm, &RankSystem) -> Result<SessionFactors, FactorError> + Send + Sync,
+        F: Fn(&mut B::Comm, &RankSystem) -> Result<K, FactorError> + Sync,
     {
         let n = src.n();
         let m = src.m();
@@ -337,7 +359,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             n >= p,
             "need at least one block row per rank (N={n}, P={p})"
         );
-        let out = B::run(p, model, |comm| -> Result<RankState, FactorError> {
+        let out = B::run(p, model, |comm| -> Result<(RankSystem, K), FactorError> {
             let sys = match boundary {
                 BoundaryMode::ExactScan => RankSystem::from_source(src, p, comm.rank()),
                 BoundaryMode::Windowed(w) => {
@@ -347,14 +369,15 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             let factors = factor(comm, &sys)?;
             Ok((sys, factors))
         });
-        let state: Vec<RankState> = out.results.into_iter().collect::<Result<_, _>>()?;
+        let state: Vec<(RankSystem, K)> = out.results.into_iter().collect::<Result<_, _>>()?;
         // The gray-zone gate's decision is derived from allreduced
         // quantities, so every rank agrees; rank 0 speaks for all.
-        let precision = match &state[0].1 {
-            SessionFactors::Plain(_) | SessionFactors::Toeplitz(_) => Precision::F64,
-            SessionFactors::Mixed(f) => f.precision(),
-        };
+        let precision = state[0].1.precision();
         let factor_bytes = state.iter().map(|(_, f)| f.storage_bytes()).sum();
+        let state = state
+            .into_iter()
+            .map(|(sys, f)| (sys, Box::new(f) as Box<dyn SessionFactors<B::Comm>>))
+            .collect();
         Ok(Self {
             p,
             n,
@@ -443,7 +466,7 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             .map(|slot| {
                 slot.lock()
                     .as_ref()
-                    .map_or(0, |(_, f)| f.trim_workspace(per_rank_pooled_bytes))
+                    .map_or(0, |(_, f)| f.trim_dyn(per_rank_pooled_bytes))
             })
             .sum();
         drop(lease);
@@ -462,12 +485,14 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
     /// Panics on shape mismatch, or if an earlier panicked solve lost
     /// the factors (see the module docs on concurrency).
     pub fn solve(&self, y: &BlockVec) -> Result<BlockVec, FactorError> {
-        Ok(self.solve_inner(y, 0, 0.0)?.0)
+        Ok(self.solve_inner(y, None)?.0)
     }
 
     /// Solves with up to `max_sweeps` iterative-refinement sweeps
     /// (stopping at relative residual `tol`); returns the solution and
-    /// the residual history (empty when `max_sweeps == 0`).
+    /// the residual history. `max_sweeps == 0` asks for no refinement:
+    /// the history is then empty, except on mixed sessions, which refine
+    /// by default (see [`crate::refine::solve_refined`]).
     ///
     /// # Errors
     ///
@@ -482,14 +507,13 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
         max_sweeps: usize,
         tol: f64,
     ) -> Result<(BlockVec, Vec<f64>), FactorError> {
-        self.solve_inner(y, max_sweeps, tol)
+        self.solve_inner(y, (max_sweeps > 0).then_some((max_sweeps, tol)))
     }
 
     fn solve_inner(
         &self,
         y: &BlockVec,
-        max_sweeps: usize,
-        tol: f64,
+        refine: Option<(usize, f64)>,
     ) -> Result<(BlockVec, Vec<f64>), FactorError> {
         assert_eq!(y.n(), self.n, "rhs block count mismatch");
         assert_eq!(y.m(), self.m, "rhs block order mismatch");
@@ -522,45 +546,13 @@ impl<B: SpmdBackend> ArdSessionOn<B> {
             let _ctx_guard = ctx.clone().map(bt_obs::ctx::enter);
             let _span = bt_obs::span("session", "replay.solve");
             let (sys, factors) = slots[comm.rank()].lock().take().expect("state present");
-            let y_local: Vec<Mat> = y_slices[comm.rank()]
+            let mut panels: Vec<Mat> = y_slices[comm.rank()]
                 .lock()
                 .take()
                 .expect("rhs slice present");
-            let (x_local, history) = match &factors {
-                SessionFactors::Plain(f) => {
-                    if max_sweeps == 0 {
-                        (f.solve_replay(comm, y_local), Vec::new())
-                    } else {
-                        let refined = f.solve_replay_refined(comm, &sys, &y_local, max_sweeps, tol);
-                        (refined.x_local, refined.history)
-                    }
-                }
-                SessionFactors::Toeplitz(f) => {
-                    if max_sweeps == 0 {
-                        (f.solve_replay(comm, y_local), Vec::new())
-                    } else {
-                        let refined = f.solve_replay_refined(comm, &sys, &y_local, max_sweeps, tol);
-                        (refined.x_local, refined.history)
-                    }
-                }
-                SessionFactors::Mixed(f) => {
-                    // Mixed factors always refine: `f32` replay error
-                    // must be corrected in `f64` before anyone sees the
-                    // answer, so a plain `solve` gets the defaults.
-                    let (sweeps, tol) = if max_sweeps == 0 {
-                        (
-                            crate::mixed::MIXED_DEFAULT_SWEEPS,
-                            crate::mixed::MIXED_DEFAULT_TOL,
-                        )
-                    } else {
-                        (max_sweeps, tol)
-                    };
-                    let refined = f.solve_refined(comm, &sys, &y_local, sweeps, tol);
-                    (refined.x_local, refined.history)
-                }
-            };
+            let history = factors.solve_dyn(comm, &sys, &mut panels, refine);
             *slots[comm.rank()].lock() = Some((sys, factors));
-            (x_local, history)
+            (panels, history)
         };
 
         let out = self.run_world(job);

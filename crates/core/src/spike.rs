@@ -34,6 +34,7 @@ use bt_blocktri::{BlockRow, BlockTridiag, BlockVec, FactorError, ThomasFactors};
 use bt_comm::CommBackend;
 use bt_dense::{gemm, gemm_flops, Mat, Trans};
 
+use crate::solver::RankSolver;
 use crate::state::RankSystem;
 
 /// Tag for the per-solve tip scatter (below `USER_TAG_LIMIT`).
@@ -218,37 +219,21 @@ impl SpikeRankFactors {
     pub fn local_len(&self) -> usize {
         self.hi - self.lo
     }
+}
 
-    /// Bytes of matrix-dependent state stored by this rank.
-    pub fn storage_bytes(&self) -> u64 {
-        let mat_bytes = (self.m * self.m * 8) as u64;
-        // Local LU diagonals + L factors + spikes.
-        let local = 2 * self.local_len() as u64 * mat_bytes;
-        let spikes = (self.w_spike.len() + self.v_spike.len()) as u64 * mat_bytes;
-        let reduced = self
-            .reduced
-            .as_ref()
-            .map_or(0, |(_, t)| 2 * t.n() as u64 * (4 * mat_bytes));
-        local + spikes + reduced
-    }
-
-    /// Solves one right-hand-side batch (collective).
-    ///
-    /// `y_local[k]` is the `M x R` panel of global row `lo + k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on panel shape mismatch.
-    pub fn solve<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
+/// Local block-Thomas solve, tips gathered to rank 0 for the reduced
+/// system, spike correction. No pipelined scan, so the tile is ignored.
+impl RankSolver for SpikeRankFactors {
+    fn solve<C: CommBackend>(&self, comm: &mut C, panels: &mut [Mat], _tile: Option<usize>) {
         let m = self.m;
         let nl = self.local_len();
         let p = comm.size();
         let rank = comm.rank();
-        assert_eq!(y_local.len(), nl, "rhs panel count mismatch");
-        let r = y_local[0].cols();
+        assert_eq!(panels.len(), nl, "rhs panel count mismatch");
+        let r = panels[0].cols();
 
         // Local solve x_hat = T_p^{-1} y_p.
-        let x_hat = self.local.solve(&BlockVec::from_blocks(y_local.to_vec()));
+        let x_hat = self.local.solve(&BlockVec::from_blocks(panels.to_vec()));
         comm.compute(bt_blocktri::thomas_solve_flops(nl, m, r));
 
         // Send tips to rank 0; receive back the neighbour tips.
@@ -294,20 +279,33 @@ impl SpikeRankFactors {
         };
 
         // Correction: x = x_hat - W * bot_prev - V * top_next.
-        let mut x = x_hat.blocks;
+        for (xk, x_hat_k) in panels.iter_mut().zip(x_hat.blocks) {
+            *xk = x_hat_k;
+        }
         if !self.w_spike.is_empty() {
-            for (xk, wk) in x.iter_mut().zip(&self.w_spike) {
+            for (xk, wk) in panels.iter_mut().zip(&self.w_spike) {
                 gemm(-1.0, wk, Trans::No, &bot_prev, Trans::No, 1.0, xk);
                 comm.compute(gemm_flops(m, m, r));
             }
         }
         if !self.v_spike.is_empty() {
-            for (xk, vk) in x.iter_mut().zip(&self.v_spike) {
+            for (xk, vk) in panels.iter_mut().zip(&self.v_spike) {
                 gemm(-1.0, vk, Trans::No, &top_next, Trans::No, 1.0, xk);
                 comm.compute(gemm_flops(m, m, r));
             }
         }
-        x
+    }
+
+    fn storage_bytes(&self) -> u64 {
+        let mat_bytes = (self.m * self.m * 8) as u64;
+        // Local LU diagonals + L factors + spikes.
+        let local = 2 * self.local_len() as u64 * mat_bytes;
+        let spikes = (self.w_spike.len() + self.v_spike.len()) as u64 * mat_bytes;
+        let reduced = self
+            .reduced
+            .as_ref()
+            .map_or(0, |(_, t)| 2 * t.n() as u64 * (4 * mat_bytes));
+        local + spikes + reduced
     }
 }
 
@@ -334,11 +332,12 @@ mod tests {
         let out = run_spmd(p, ZERO, |comm| {
             let sys = RankSystem::from_source(src, p, comm.rank());
             let factors = SpikeRankFactors::setup(comm, &sys).expect("setup");
-            let y_local: Vec<Mat> = part
+            let mut x_local: Vec<Mat> = part
                 .range(comm.rank())
                 .map(|i| y.blocks[i].clone())
                 .collect();
-            (sys.lo, factors.solve(comm, &y_local))
+            factors.solve(comm, &mut x_local, None);
+            (sys.lo, x_local)
         });
         let mut x = BlockVec::zeros(n, m, y.r());
         for (lo, panels) in out.results {
@@ -412,11 +411,12 @@ mod tests {
             ys_ref
                 .iter()
                 .map(|y| {
-                    let y_local: Vec<Mat> = part_ref
+                    let mut x_local: Vec<Mat> = part_ref
                         .range(comm.rank())
                         .map(|i| y.blocks[i].clone())
                         .collect();
-                    (sys.lo, factors.solve(comm, &y_local))
+                    factors.solve(comm, &mut x_local, None);
+                    (sys.lo, x_local)
                 })
                 .collect::<Vec<_>>()
         });

@@ -5,15 +5,14 @@
 //! tridiagonal matrix. [`ArdRankFactors::setup`] runs all
 //! matrix-dependent work — Phase 1 (block diagonals via the companion
 //! scan) plus the matrix components of the Phase 2/3 affine scans — in
-//! `O(M^3 (N/P + log P))` time. Each subsequent
-//! [`ArdRankFactors::solve_replay`] handles an `R`-column right-hand-side
-//! batch in `O(M^2 R (N/P + log P))` time, exchanging only `M x R`
-//! panels.
+//! `O(M^3 (N/P + log P))` time. Each subsequent [`RankSolver::solve`]
+//! replays the recorded scans for an `R`-column right-hand-side batch in
+//! `O(M^2 R (N/P + log P))` time, exchanging only `M x R` panels.
 //!
 //! Classic recursive doubling is the same machinery without reuse:
-//! [`rd_solve_rank`] rebuilds the factors and runs the fresh-scan solve
-//! for every call, which is what makes it `O(R)` slower over `R`
-//! right-hand sides.
+//! [`rd_solve_rank`] sets up without recording the scans — so the solve
+//! runs them fresh — for every call, which is what makes it `O(R)`
+//! slower over `R` right-hand sides.
 
 use std::cell::RefCell;
 
@@ -30,6 +29,7 @@ use crate::scans::{
     affine_exscan_fresh, affine_exscan_replay_tiled, auto_rhs_tile_for, companion_exscan,
     Direction, ScanTrace,
 };
+use crate::solver::RankSolver;
 
 /// Tag bases for the point-to-point scans (each scan uses `base + step`),
 /// shared with the Toeplitz path.
@@ -632,22 +632,17 @@ impl<E: Element> ArdRankFactors<E> {
         self.hi - self.lo
     }
 
-    /// Bytes of matrix-dependent state stored per this rank (the memory
-    /// price of acceleration; Table II).
-    pub fn storage_bytes(&self) -> u64 {
-        let mat_bytes = (self.m * self.m * std::mem::size_of::<E>()) as u64;
-        // D_i^{-1} + F_i + G_i per row, plus the prefix matrices if they
-        // have not been shed (see `shed_prefixes`).
-        let prefixes = (self.fwd_prefix.len() + self.bwd_prefix.len()) as u64;
-        (3 * self.local_len() as u64 + prefixes) * mat_bytes
-            + self.fwd_trace.storage_bytes()
-            + self.bwd_trace.storage_bytes()
-    }
-
     /// Frees the per-row local prefix matrices (40% of the stored factor
-    /// bytes), keeping only what [`ArdRankFactors::solve_replay_lean`]
-    /// needs. After shedding, [`ArdRankFactors::solve_replay`] and
-    /// [`ArdRankFactors::solve_fresh`] must not be called.
+    /// bytes). Every later solve then runs the memory-lean replay, which
+    /// never reads them: it restarts the first-order recurrence from the
+    /// scan's exclusive value, which *is* the boundary value. Same flop
+    /// count and message pattern, agreeing with the full replay to
+    /// roundoff.
+    ///
+    /// # Panics
+    ///
+    /// Panics on classic-RD factors (setup without trace recording),
+    /// whose fresh scans need the prefixes.
     pub fn shed_prefixes(&mut self) {
         assert!(self.recorded, "classic-RD factors need their prefixes");
         self.fwd_prefix = Vec::new();
@@ -669,188 +664,41 @@ impl<E: Element> ArdRankFactors<E> {
         self.ws.borrow_mut().reset();
     }
 
-    /// Shrinks the pooled solve workspace to at most `max_pooled_bytes`
-    /// of idle capacity (largest buffers dropped first), returning the
-    /// bytes released. Bounds the memory a single oversized batch pins
-    /// for the session's lifetime — see [`Workspace::trim_to`].
-    pub fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
-        self.ws.borrow_mut().trim_to(max_pooled_bytes)
-    }
-
-    /// Solves one right-hand-side batch by **replaying** the recorded
-    /// scans — the accelerated path, `O(M^2 R (N/P + log P))`.
-    ///
-    /// `y_local[k]` is the `M x R` panel of global row `lo + k`. The
-    /// panels are solved in place and handed back as the solution, so
-    /// the call allocates no output. Collective.
+    /// [`RankSolver::solve`] of a copy of `y_local` into caller-provided
+    /// panels (`out[k]` shaped like `y_local[k]`), at the cost model's
+    /// tile. With reused `out` buffers and a warm workspace a replay
+    /// performs **zero** heap allocations: every temporary (scan receive
+    /// buffers included) recycles through the rank-owned [`Workspace`]
+    /// and the [`bt_mpsim::PanelBuf`] pool.
     ///
     /// # Panics
     ///
-    /// Panics if setup was run with `record_traces = false`, or on panel
-    /// shape mismatch.
-    pub fn solve_replay<C: CommBackend>(&self, comm: &mut C, y_local: Vec<Mat<E>>) -> Vec<Mat<E>> {
-        self.solve_replay_with(comm, y_local, false, env_rhs_tile())
-    }
-
-    /// [`ArdRankFactors::solve_replay`] writing into caller-provided
-    /// panels: `out[k]` must be shaped like `y_local[k]`. With reused
-    /// `out` buffers and a warm workspace, a call performs **zero** heap
-    /// allocations — every temporary (including scan receive buffers)
-    /// recycles through the rank-owned [`Workspace`] and the
-    /// [`bt_mpsim::PanelBuf`] pool.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ArdRankFactors::solve_replay`], plus `out`
-    /// shape mismatch.
+    /// Panics on panel shape mismatch.
     pub fn solve_replay_into<C: CommBackend>(
         &self,
         comm: &mut C,
         y_local: &[Mat<E>],
         out: &mut [Mat<E>],
     ) {
-        let r = self.load(y_local, out);
-        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
-        self.solve_in_place(comm, out, true, tile);
-    }
-
-    /// [`ArdRankFactors::solve_replay_into`] with an explicit RHS tile
-    /// width for the scan pipeline (see
-    /// [`affine_exscan_replay_tiled`]); output is bitwise identical for
-    /// every `tile`. Exposed for benches and tile-sweep tests — normal
-    /// callers should use [`ArdRankFactors::solve_replay_into`], which
-    /// resolves the tile from `BT_ARD_RHS_TILE` or the cost model.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ArdRankFactors::solve_replay_into`].
-    pub fn solve_replay_into_tiled<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
-        tile: usize,
-    ) {
-        self.load(y_local, out);
-        self.solve_in_place(comm, out, true, tile);
-    }
-
-    /// Solves one batch with **fresh** scans (classic recursive
-    /// doubling's per-solve Phase 2/3): full pairs travel and every scan
-    /// combine pays the `O(M^3)` product. Collective.
-    pub fn solve_fresh<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat<E>]) -> Vec<Mat<E>> {
         let r = self.check_panels(y_local);
-        let mut x = y_local.to_vec();
-        self.solve_in_place(comm, &mut x, false, r.max(1));
-        x
-    }
-
-    /// Memory-lean replay: identical flop count and message pattern to
-    /// [`ArdRankFactors::solve_replay`], but instead of fixing each row up
-    /// with a stored prefix matrix (`z_i = M_i v_excl + v_i`), it exploits
-    /// the fact that the scan's exclusive vector *is* the boundary value
-    /// (`v_excl = z_{lo-1}`) and re-runs the plain first-order recurrence
-    /// from it. The per-row prefix matrices are therefore never touched
-    /// and can be freed with [`ArdRankFactors::shed_prefixes`]. Solves
-    /// the panels in place, like [`ArdRankFactors::solve_replay`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if setup was run with `record_traces = false`, or on panel
-    /// shape mismatch.
-    pub fn solve_replay_lean<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: Vec<Mat<E>>,
-    ) -> Vec<Mat<E>> {
-        self.solve_replay_with(comm, y_local, true, env_rhs_tile())
-    }
-
-    /// By-value body of [`ArdRankFactors::solve_replay`] (`lean =
-    /// false`) and [`ArdRankFactors::solve_replay_lean`]: solves the
-    /// panels in place at RHS tile width `tile`, or the cost model's
-    /// choice when `None`. Output is bitwise identical for every tile.
-    pub(crate) fn solve_replay_with<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        mut y_local: Vec<Mat<E>>,
-        lean: bool,
-        tile: Option<usize>,
-    ) -> Vec<Mat<E>> {
-        let r = self.check_panels(&y_local);
-        let tile = tile.unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), self.m, r));
-        if lean {
-            self.lean_in_place(comm, &mut y_local, tile);
-        } else {
-            self.solve_in_place(comm, &mut y_local, true, tile);
+        assert_eq!(self.check_panels(out), r, "output panel width mismatch");
+        for (o, y) in out.iter_mut().zip(y_local) {
+            o.as_mut().copy_from(y.as_ref());
         }
-        y_local
+        self.solve(comm, out, None);
     }
 
-    /// [`ArdRankFactors::solve_replay_lean`] writing into caller-provided
-    /// panels; allocation-free once warm, like
-    /// [`ArdRankFactors::solve_replay_into`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ArdRankFactors::solve_replay_lean`], plus
-    /// `out` shape mismatch.
-    pub fn solve_replay_lean_into<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
-    ) {
-        let r = self.load(y_local, out);
-        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
-        self.lean_in_place(comm, out, tile);
-    }
-
-    /// [`ArdRankFactors::solve_replay_lean_into`] with an explicit RHS
-    /// tile width for the scan pipeline; output is bitwise identical
-    /// for every `tile`. See
-    /// [`ArdRankFactors::solve_replay_into_tiled`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ArdRankFactors::solve_replay_lean_into`].
-    pub fn solve_replay_lean_into_tiled<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
-        tile: usize,
-    ) {
-        self.load(y_local, out);
-        self.lean_in_place(comm, out, tile);
-    }
-
-    /// Body of the lean replay: [`lean_replay_in_place`] over the
-    /// per-row factors.
-    fn lean_in_place<C: CommBackend>(&self, comm: &mut C, panels: &mut [Mat<E>], tile: usize) {
-        assert!(
-            self.recorded,
-            "solve_replay_lean requires setup(record_traces = true)"
-        );
-        lean_replay_in_place(self, comm, panels, &mut self.ws.borrow_mut(), tile);
-    }
-
-    /// Body of the replay ([`ArdRankFactors::solve_replay`] and its
-    /// `_into` forms) and of [`ArdRankFactors::solve_fresh`]. `panels`
-    /// holds `y` on entry and `x` on exit, carrying every stage in
-    /// between (v_hat -> z -> h -> w_hat -> x); all other temporaries
-    /// cycle through the rank workspace.
+    /// Body of the full replay (`replay = Some(tile)`) and of classic
+    /// RD's fresh-scan solve (`None`). `panels` holds `y` on entry and
+    /// `x` on exit, carrying every stage in between
+    /// (v_hat -> z -> h -> w_hat -> x); all other temporaries cycle
+    /// through the rank workspace.
     fn solve_in_place<C: CommBackend>(
         &self,
         comm: &mut C,
         panels: &mut [Mat<E>],
-        replay: bool,
-        tile: usize,
+        replay: Option<usize>,
     ) {
-        assert!(
-            !replay || self.recorded,
-            "solve_replay requires setup(record_traces = true)"
-        );
         let m = self.m;
         let nl = self.local_len();
         let r = panels[0].cols();
@@ -875,7 +723,7 @@ impl<E: Element> ArdRankFactors<E> {
             comm.compute(gemm_flops(m, m, r));
         }
         // Cross-rank scan.
-        let v_excl = if replay {
+        let v_excl = if let Some(tile) = replay {
             let total = ws.take_copy(panels[nl - 1].as_ref());
             affine_exscan_replay_tiled(
                 comm,
@@ -909,7 +757,7 @@ impl<E: Element> ArdRankFactors<E> {
                     );
                     comm.compute(gemm_flops(m, m, r));
                 }
-                if replay {
+                if replay.is_some() {
                     ws.put(vin);
                 }
             }
@@ -934,7 +782,7 @@ impl<E: Element> ArdRankFactors<E> {
             );
             comm.compute(gemm_flops(m, m, r));
         }
-        let w_excl = if replay {
+        let w_excl = if let Some(tile) = replay {
             let total = ws.take_copy(panels[0].as_ref());
             affine_exscan_replay_tiled(
                 comm,
@@ -967,11 +815,43 @@ impl<E: Element> ArdRankFactors<E> {
                     );
                     comm.compute(gemm_flops(m, m, r));
                 }
-                if replay {
+                if replay.is_some() {
                     ws.put(win);
                 }
             }
         }
+    }
+}
+
+/// What a solve runs follows from what setup stored: classic RD's fresh
+/// scans when setup recorded no traces, the lean replay once the prefix
+/// matrices were shed, the full replay otherwise.
+impl<E: Element> RankSolver<E> for ArdRankFactors<E> {
+    fn solve<C: CommBackend>(&self, comm: &mut C, panels: &mut [Mat<E>], tile: Option<usize>) {
+        let r = self.check_panels(panels);
+        if !self.recorded {
+            return self.solve_in_place(comm, panels, None);
+        }
+        let tile = tile.unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), self.m, r));
+        if self.fwd_prefix.is_empty() {
+            lean_replay_in_place(self, comm, panels, &mut self.ws.borrow_mut(), tile);
+        } else {
+            self.solve_in_place(comm, panels, Some(tile));
+        }
+    }
+
+    fn storage_bytes(&self) -> u64 {
+        let mat_bytes = (self.m * self.m * std::mem::size_of::<E>()) as u64;
+        // D_i^{-1} + F_i + G_i per row, plus the prefix matrices if they
+        // have not been shed (see `shed_prefixes`).
+        let prefixes = (self.fwd_prefix.len() + self.bwd_prefix.len()) as u64;
+        (3 * self.local_len() as u64 + prefixes) * mat_bytes
+            + self.fwd_trace.storage_bytes()
+            + self.bwd_trace.storage_bytes()
+    }
+
+    fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
+        self.ws.borrow_mut().trim_to(max_pooled_bytes)
     }
 }
 
@@ -997,17 +877,6 @@ pub(crate) trait ReplayFactors<E: Element> {
         let r = panels[0].cols();
         for (k, p) in panels.iter().enumerate() {
             assert_eq!(p.shape(), (self.order(), r), "panel {k} shape mismatch");
-        }
-        r
-    }
-
-    /// Copies a right-hand-side batch into the caller's output panels, on
-    /// which the `_into` solves then run in place; returns `R`.
-    fn load(&self, y_local: &[Mat<E>], out: &mut [Mat<E>]) -> usize {
-        let r = self.check_panels(y_local);
-        assert_eq!(self.check_panels(out), r, "output panel width mismatch");
-        for (o, y) in out.iter_mut().zip(y_local) {
-            o.as_mut().copy_from(y.as_ref());
         }
         r
     }
@@ -1037,25 +906,6 @@ impl<E: Element> ReplayFactors<E> for ArdRankFactors<E> {
     fn traces(&self) -> (&ScanTrace<E>, &ScanTrace<E>) {
         (&self.fwd_trace, &self.bwd_trace)
     }
-}
-
-/// Replay-pipeline RHS tile width for an `M x R` batch: the
-/// `BT_ARD_RHS_TILE` override when set (`0`/unset means auto), else the
-/// cost-model calibration in [`crate::scans::auto_rhs_tile`].
-pub(crate) fn resolve_rhs_tile<C: CommBackend, E: Element>(comm: &C, m: usize, r: usize) -> usize {
-    env_rhs_tile().unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), m, r))
-}
-
-/// The `BT_ARD_RHS_TILE` override, parsed once per process: `None` when
-/// unset, `0` or malformed (the cost model then picks the tile).
-pub(crate) fn env_rhs_tile() -> Option<usize> {
-    static ENV_TILE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *ENV_TILE.get_or_init(|| {
-        std::env::var("BT_ARD_RHS_TILE")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-    })
 }
 
 /// `h_i = D_i^{-1} z_i` over every panel, in place: one `M x M · M x R`
@@ -1090,8 +940,13 @@ fn diag_solve_in_place<C: CommBackend, E: Element, F: ReplayFactors<E>>(
     ws.put(h);
 }
 
-/// The boundary-value replay body, shared by
-/// [`ArdRankFactors::solve_replay_lean`] and the Toeplitz replay.
+/// The boundary-value replay body, shared by the lean ARD replay (after
+/// [`ArdRankFactors::shed_prefixes`]) and the Toeplitz replay. Instead of
+/// fixing each row up with a stored prefix matrix
+/// (`z_i = M_i v_excl + v_i`), it uses the fact that the scan's exclusive
+/// vector *is* the boundary value (`v_excl = z_{lo-1}`) and re-runs the
+/// plain first-order recurrence from it: identical flop count and
+/// message pattern, no prefix matrices read.
 /// `panels` holds `y` on entry and `x` on exit, carrying z and h in
 /// between; all other temporaries cycle through `ws`. Collective.
 pub(crate) fn lean_replay_in_place<C: CommBackend, E: Element, F: ReplayFactors<E>>(
@@ -1268,5 +1123,7 @@ pub fn rd_solve_rank<C: CommBackend, E: Element>(
     y_local: &[Mat<E>],
 ) -> Result<Vec<Mat<E>>, FactorError> {
     let factors = ArdRankFactors::<E>::setup(comm, sys, false)?;
-    Ok(factors.solve_fresh(comm, y_local))
+    let mut x = y_local.to_vec();
+    factors.solve(comm, &mut x, None);
+    Ok(x)
 }

@@ -41,14 +41,13 @@ use bt_dense::{gemm, gemm_flops, Element, Mat, Trans, Workspace};
 
 use crate::companion::{CompanionProduct, CompanionState, CompanionW};
 use crate::pairs::AffinePair;
-use crate::refine::{halo_exchange_into, local_residual_into, sq_norm, RefinedSolve, REFINE_ITERS};
-use crate::scans::{affine_exscan_fresh, companion_exscan, Direction, ScanTrace};
-use crate::solver::{RankSolver, Session};
+use crate::scans::{
+    affine_exscan_fresh, auto_rhs_tile_for, companion_exscan, Direction, ScanTrace,
+};
+use crate::solver::RankSolver;
 // Tag bases are the general path's: the Toeplitz setup records scans
 // the shared replay body then plays back.
-use crate::state::{
-    invert_block, lean_replay_in_place, neg_mul, resolve_rhs_tile, tags, RankSystem, ReplayFactors,
-};
+use crate::state::{invert_block, lean_replay_in_place, neg_mul, tags, RankSystem, ReplayFactors};
 
 /// Head-convergence tolerance, relative to `max_abs(D)`: the recurrence
 /// is declared stationary once consecutive diagonals agree to a few
@@ -526,78 +525,10 @@ impl<E: Element> ToeplitzRankFactors<E> {
         self.boundary_cond
     }
 
-    /// Bytes of factor state: `3 * head + 3` matrices plus the recorded
-    /// scan traces — versus the general path's `5 * N/P` matrices.
-    pub fn storage_bytes(&self) -> u64 {
-        let mat_bytes = (self.m * self.m * std::mem::size_of::<E>()) as u64;
-        (3 * self.head_len() as u64 + 3) * mat_bytes
-            + self.fwd_trace.storage_bytes()
-            + self.bwd_trace.storage_bytes()
-    }
-
     /// Cumulative solve-workspace counters (see
     /// [`crate::state::ArdRankFactors::workspace_stats`]).
     pub fn workspace_stats(&self) -> bt_dense::WorkspaceStats {
         self.ws.borrow().stats()
-    }
-
-    /// Shrinks the pooled solve workspace to `max_pooled_bytes` of idle
-    /// capacity, returning bytes released.
-    pub fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
-        self.ws.borrow_mut().trim_to(max_pooled_bytes)
-    }
-
-    /// Replays the recorded scans for one right-hand-side batch —
-    /// `y_local[k]` is the `M x R` panel of global row `lo + k` — solving
-    /// the panels in place and handing them back. Collective; the
-    /// general path's lean replay with the head/tail factor lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics on panel shape mismatch.
-    pub fn solve_replay<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        mut y_local: Vec<Mat<E>>,
-    ) -> Vec<Mat<E>> {
-        let r = self.check_panels(&y_local);
-        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
-        lean_replay_in_place(self, comm, &mut y_local, &mut self.ws.borrow_mut(), tile);
-        y_local
-    }
-
-    /// [`ToeplitzRankFactors::solve_replay`] into caller-provided
-    /// panels; allocation-free once warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics on panel shape mismatch.
-    pub fn solve_replay_into<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
-    ) {
-        let r = self.load(y_local, out);
-        let tile = resolve_rhs_tile::<C, E>(comm, self.m, r);
-        lean_replay_in_place(self, comm, out, &mut self.ws.borrow_mut(), tile);
-    }
-
-    /// [`ToeplitzRankFactors::solve_replay_into`] with an explicit RHS
-    /// tile width; output is bitwise identical for every `tile`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on panel shape mismatch.
-    pub fn solve_replay_into_tiled<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        y_local: &[Mat<E>],
-        out: &mut [Mat<E>],
-        tile: usize,
-    ) {
-        self.load(y_local, out);
-        lean_replay_in_place(self, comm, out, &mut self.ws.borrow_mut(), tile);
     }
 }
 
@@ -632,109 +563,32 @@ impl<E: Element> ReplayFactors<E> for ToeplitzRankFactors<E> {
     }
 }
 
-impl ToeplitzRankFactors {
-    /// Replay solve followed by up to `max_sweeps` iterative-refinement
-    /// sweeps — the Toeplitz twin of
-    /// [`crate::state::ArdRankFactors::solve_replay_refined`].
-    /// Collective; all ranks receive the same `history`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn solve_replay_refined<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        sys: &RankSystem,
-        y_local: &[Mat],
-        max_sweeps: usize,
-        tol: f64,
-    ) -> RefinedSolve {
-        let mut x = self.solve_replay(comm, y_local.to_vec());
-        let y_norm2 = comm
-            .allreduce(sq_norm(y_local), |a, b| a + b)
-            .max(f64::MIN_POSITIVE);
-        let nl = x.len();
-        let (m, r) = x[0].shape();
-        let mut res: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-        let mut dx: Vec<Mat> = (0..nl).map(|_| Mat::zeros(m, r)).collect();
-        let mut halo_l = Mat::zeros(m, r);
-        let mut halo_r = Mat::zeros(m, r);
-        let mut history = Vec::with_capacity(max_sweeps + 1);
-
-        let mut residual = |comm: &mut C, x: &[Mat], res: &mut [Mat]| -> f64 {
-            halo_exchange_into(
-                comm,
-                x[0].as_ref(),
-                x[nl - 1].as_ref(),
-                halo_l.as_mut(),
-                halo_r.as_mut(),
-            );
-            local_residual_into(
-                comm,
-                sys,
-                x,
-                (halo_l.as_ref(), halo_r.as_ref()),
-                y_local,
-                res,
-            );
-            (comm.allreduce(sq_norm(res), |a, b| a + b) / y_norm2).sqrt()
-        };
-
-        let mut rel = residual(comm, &x, &mut res);
-        history.push(rel);
-        for sweep in 0..max_sweeps {
-            if rel <= tol {
-                break;
-            }
-            let _span = bt_obs::span_with("solver", "refine.sweep", || {
-                format!("{{\"sweep\":{sweep},\"rel_residual\":{rel:e}}}")
-            });
-            self.solve_replay_into(comm, &res, &mut dx);
-            for (xk, dk) in x.iter_mut().zip(&dx) {
-                xk.add_assign(dk);
-            }
-            let new_rel = residual(comm, &x, &mut res);
-            if !new_rel.is_finite() || new_rel >= rel {
-                for (xk, dk) in x.iter_mut().zip(&dx) {
-                    xk.sub_assign(dk);
-                }
-                break;
-            }
-            rel = new_rel;
-            history.push(rel);
-        }
-        REFINE_ITERS.record((history.len() - 1) as u64);
-        RefinedSolve {
-            x_local: x,
-            history,
-        }
-    }
-}
-
-impl RankSolver for ToeplitzRankFactors {
-    const NAME: &'static str = "toeplitz-recursive-doubling";
-
-    fn setup<C: CommBackend>(comm: &mut C, sys: &RankSystem) -> Result<Self, FactorError> {
-        ToeplitzRankFactors::setup(comm, sys)
+/// The general path's lean replay body over the head/tail factor lookup.
+impl<E: Element> RankSolver<E> for ToeplitzRankFactors<E> {
+    fn solve<C: CommBackend>(&self, comm: &mut C, panels: &mut [Mat<E>], tile: Option<usize>) {
+        let r = self.check_panels(panels);
+        let tile = tile.unwrap_or_else(|| auto_rhs_tile_for::<E>(&comm.model(), self.m, r));
+        lean_replay_in_place(self, comm, panels, &mut self.ws.borrow_mut(), tile);
     }
 
-    fn solve<C: CommBackend>(&self, comm: &mut C, y_local: &[Mat]) -> Vec<Mat> {
-        self.solve_replay(comm, y_local.to_vec())
-    }
-
+    /// `3 * head + 3` matrices plus the recorded scan traces — versus
+    /// the general path's `5 * N/P` matrices.
     fn storage_bytes(&self) -> u64 {
-        ToeplitzRankFactors::storage_bytes(self)
+        let mat_bytes = (self.m * self.m * std::mem::size_of::<E>()) as u64;
+        (3 * self.head_len() as u64 + 3) * mat_bytes
+            + self.fwd_trace.storage_bytes()
+            + self.bwd_trace.storage_bytes()
+    }
+
+    fn trim_workspace(&self, max_pooled_bytes: u64) -> u64 {
+        self.ws.borrow_mut().trim_to(max_pooled_bytes)
     }
 }
-
-/// Session over the Toeplitz fast path. Only create it for sources that
-/// pass [`detect_toeplitz`].
-pub type ToeplitzSession = Session<ToeplitzRankFactors>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::ArdGenericSession;
+    use crate::session::ArdSession;
     use bt_blocktri::gen::{materialize, random_rhs, BlockToeplitz, ClusteredToeplitz, Poisson2D};
     use bt_comm::CostModel;
 
@@ -766,13 +620,12 @@ mod tests {
         let src = ClusteredToeplitz::standard(96, 4, 3);
         assert!(detect_toeplitz(&src));
         let t = materialize(&src);
-        let fast = ToeplitzSession::create(4, ZERO, &src).unwrap();
-        let general = ArdGenericSession::create(4, ZERO, &src).unwrap();
-        assert_eq!(fast.solver_name(), "toeplitz-recursive-doubling");
+        let fast = ArdSession::create_toeplitz(4, ZERO, &src).unwrap();
+        let general = ArdSession::create(4, ZERO, &src).unwrap();
         for seed in 0..3 {
             let y = random_rhs(96, 4, 3, seed);
-            let xf = fast.solve(&y);
-            let xg = general.solve(&y);
+            let xf = fast.solve(&y).unwrap();
+            let xg = general.solve(&y).unwrap();
             assert!(t.rel_residual(&xf, &y) < 1e-11, "seed {seed}");
             assert!(
                 xf.rel_diff(&xg) < 1e-10,
@@ -787,8 +640,8 @@ mod tests {
         // n/p = 128 rows per rank: the head is a few dozen rows, so the
         // Toeplitz store must be several times smaller.
         let src = ClusteredToeplitz::standard(512, 4, 1);
-        let fast = ToeplitzSession::create(4, ZERO, &src).unwrap();
-        let general = ArdGenericSession::create(4, ZERO, &src).unwrap();
+        let fast = ArdSession::create_toeplitz(4, ZERO, &src).unwrap();
+        let general = ArdSession::create(4, ZERO, &src).unwrap();
         let reduction = general.factor_bytes() as f64 / fast.factor_bytes() as f64;
         assert!(
             reduction >= 3.0,
@@ -805,9 +658,9 @@ mod tests {
         // on the head terminating early.
         let src = ClusteredToeplitz::new(64, 6, 2.1, 0.01, 9);
         let t = materialize(&src);
-        let session = ToeplitzSession::create(4, ZERO, &src).unwrap();
+        let session = ArdSession::create_toeplitz(4, ZERO, &src).unwrap();
         let y = random_rhs(64, 6, 2, 4);
-        let x = session.solve(&y);
+        let x = session.solve(&y).unwrap();
         assert!(t.rel_residual(&x, &y) < 1e-10);
     }
 
@@ -815,9 +668,9 @@ mod tests {
     fn single_rank_world_works() {
         let src = ClusteredToeplitz::standard(32, 4, 5);
         let t = materialize(&src);
-        let session = ToeplitzSession::create(1, ZERO, &src).unwrap();
+        let session = ArdSession::create_toeplitz(1, ZERO, &src).unwrap();
         let y = random_rhs(32, 4, 2, 1);
-        let x = session.solve(&y);
+        let x = session.solve(&y).unwrap();
         assert!(t.rel_residual(&x, &y) < 1e-11);
     }
 
@@ -826,26 +679,8 @@ mod tests {
         let src = ClusteredToeplitz::standard(80, 4, 2);
         let t = materialize(&src);
         let y = random_rhs(80, 4, 2, 6);
-        let p = 4;
-        let part = bt_blocktri::RowPartition::new(80, p);
-        let out = bt_mpsim::run_spmd(p, ZERO, |comm| {
-            let sys = RankSystem::from_source(&src, p, comm.rank());
-            let factors = ToeplitzRankFactors::setup(comm, &sys).unwrap();
-            let y_local: Vec<Mat> = part
-                .range(comm.rank())
-                .map(|i| y.blocks[i].clone())
-                .collect();
-            let refined = factors.solve_replay_refined(comm, &sys, &y_local, 4, 1e-14);
-            (sys.lo, refined)
-        });
-        let mut x = bt_blocktri::BlockVec::zeros(80, 4, 2);
-        let mut history = Vec::new();
-        for (lo, refined) in out.results {
-            for (k, panel) in refined.x_local.into_iter().enumerate() {
-                x.blocks[lo + k] = panel;
-            }
-            history = refined.history;
-        }
+        let session = ArdSession::create_toeplitz(4, ZERO, &src).unwrap();
+        let (x, history) = session.solve_refined(&y, 4, 1e-14).unwrap();
         assert!(t.rel_residual(&x, &y) < 1e-13, "history {history:?}");
         assert!(!history.is_empty());
     }

@@ -6,8 +6,9 @@
 //! divergence — a reordered reduction, a truncated panel, a halo row off
 //! by one — shows up as a differing bit pattern, not a tolerance miss.
 
-use bt_ard::driver::{ard_solve_cfg_on, pcr_solve_cfg_on, DriverConfig};
+use bt_ard::driver::{solve_cfg_on, Algo, DriverConfig};
 use bt_ard::state::{ArdRankFactors, RankSystem};
+use bt_ard::RankSolver;
 use bt_blocktri::gen::{random_rhs, rhs_panel, ClusteredToeplitz};
 use bt_blocktri::{BlockRowSource, BlockVec};
 use bt_dense::Mat;
@@ -43,8 +44,8 @@ fn assert_ard_agreement<S: BlockRowSource + Sync>(
     src: &S,
     batches: &[BlockVec],
 ) {
-    let sim = ard_solve_cfg_on::<SimBackend, _>(cfg, src, batches).unwrap();
-    let shm = ard_solve_cfg_on::<ShmBackend, _>(cfg, src, batches).unwrap();
+    let sim = solve_cfg_on::<SimBackend, _>(cfg, Algo::Ard, src, batches).unwrap();
+    let shm = solve_cfg_on::<ShmBackend, _>(cfg, Algo::Ard, src, batches).unwrap();
     assert_eq!(
         bits_of_blockvecs(&sim.x),
         bits_of_blockvecs(&shm.x),
@@ -90,17 +91,15 @@ fn tiled_replay_agrees_across_backends() {
     let sim = run_spmd(p, ZERO, |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
-        let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
-        let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
-        factors.solve_replay_into_tiled(comm, &y, &mut x, tile);
+        let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
+        factors.solve(comm, &mut x, Some(tile));
         x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>()
     });
     let shm = run_shm(p, ZERO, |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
-        let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
-        let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
-        factors.solve_replay_into_tiled(comm, &y, &mut x, tile);
+        let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
+        factors.solve(comm, &mut x, Some(tile));
         x.iter().flat_map(bits_of_mat).collect::<Vec<u64>>()
     });
     assert_eq!(
@@ -119,8 +118,8 @@ fn pcr_driver_agrees_across_backends() {
         let cfg = DriverConfig::new(p)
             .with_model(ZERO)
             .with_threads_per_rank(1);
-        let sim = pcr_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
-        let shm = pcr_solve_cfg_on::<ShmBackend, _>(&cfg, &src, &batches).unwrap();
+        let sim = solve_cfg_on::<SimBackend, _>(&cfg, Algo::Pcr, &src, &batches).unwrap();
+        let shm = solve_cfg_on::<ShmBackend, _>(&cfg, Algo::Pcr, &src, &batches).unwrap();
         assert_eq!(
             bits_of_blockvecs(&sim.x),
             bits_of_blockvecs(&shm.x),
@@ -149,8 +148,8 @@ proptest! {
         if lean {
             cfg = cfg.with_lean();
         }
-        let sim = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
-        let shm = ard_solve_cfg_on::<ShmBackend, _>(&cfg, &src, &batches).unwrap();
+        let sim = solve_cfg_on::<SimBackend, _>(&cfg, Algo::Ard, &src, &batches).unwrap();
+        let shm = solve_cfg_on::<ShmBackend, _>(&cfg, Algo::Ard, &src, &batches).unwrap();
         prop_assert_eq!(
             bits_of_blockvecs(&sim.x),
             bits_of_blockvecs(&shm.x),

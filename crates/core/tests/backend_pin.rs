@@ -20,8 +20,9 @@
 //! and the flop counter. Solve clocks, message/byte counts, overlap, PCR
 //! and collectives are unchanged.
 
-use bt_ard::driver::{ard_solve_cfg_on, pcr_solve_cfg_on, DriverConfig};
+use bt_ard::driver::{solve_cfg_on, Algo, DriverConfig};
 use bt_ard::state::{ArdRankFactors, RankSystem};
+use bt_ard::RankSolver;
 use bt_blocktri::gen::{random_rhs, rhs_panel, ClusteredToeplitz};
 use bt_blocktri::BlockVec;
 use bt_dense::simd::{active, Isa};
@@ -70,7 +71,7 @@ fn ard_driver_is_bitwise_pinned() {
         .with_model(CostModel::cluster())
         .with_threads_per_rank(1)
         .with_rhs_tile(5);
-    let out = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
+    let out = solve_cfg_on::<SimBackend, _>(&cfg, Algo::Ard, &src, &batches).unwrap();
 
     let x_hash = hash_blockvecs(&out.x);
     let setup_bits = out.timings.setup_modeled.to_bits();
@@ -111,12 +112,8 @@ fn tiled_replay_is_bitwise_pinned() {
     let out = run_spmd(p, CostModel::cluster(), |comm| {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
-        let y_local: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
-        let mut x: Vec<Mat> = y_local
-            .iter()
-            .map(|p| Mat::zeros(p.rows(), p.cols()))
-            .collect();
-        factors.solve_replay_into_tiled(comm, &y_local, &mut x, tile);
+        let mut x: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 3, i)).collect();
+        factors.solve(comm, &mut x, Some(tile));
         x
     });
 
@@ -158,7 +155,7 @@ fn pcr_driver_is_bitwise_pinned() {
     let cfg = DriverConfig::new(4)
         .with_model(CostModel::hpc())
         .with_threads_per_rank(1);
-    let out = pcr_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
+    let out = solve_cfg_on::<SimBackend, _>(&cfg, Algo::Pcr, &src, &batches).unwrap();
 
     if pinned_isa() {
         assert_eq!(

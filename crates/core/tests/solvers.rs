@@ -3,7 +3,7 @@
 //! timings, and the numerical envelope documented in DESIGN.md §7.
 
 use bt_ard::driver::{
-    ard_solve_cfg, ard_solve_cfg_on, ard_solve_dist, rd_solve_cfg, rd_solve_dist, DriverConfig,
+    ard_solve_cfg, ard_solve_dist, rd_solve_cfg, rd_solve_dist, solve_cfg_on, Algo, DriverConfig,
 };
 use bt_ard::state::BoundaryMode;
 use bt_blocktri::gen::{
@@ -207,8 +207,11 @@ fn modeled_time_favors_ard_across_batches() {
     let src = ClusteredToeplitz::standard(256, 8, 1);
     let batches: Vec<_> = (0..8).map(|s| random_rhs(256, 8, 8, s)).collect();
     let model = CostModel::cluster();
-    let rd = rd_solve_dist(4, model, &src, &batches).unwrap();
-    let ard = ard_solve_dist(4, model, &src, &batches).unwrap();
+    // Modeled clocks exist only on the simulator (shm times solves with
+    // wall clocks), so the comparison is pinned to it.
+    let cfg = DriverConfig::new(4).with_model(model);
+    let rd = solve_cfg_on::<SimBackend, _>(&cfg, Algo::Rd, &src, &batches).unwrap();
+    let ard = solve_cfg_on::<SimBackend, _>(&cfg, Algo::Ard, &src, &batches).unwrap();
     let rd_total = rd.timings.total_modeled();
     let ard_total = ard.timings.total_modeled();
     assert!(
@@ -340,8 +343,8 @@ fn deterministic_across_runs() {
     let cfg = DriverConfig::new(4)
         .with_model(ZERO)
         .with_threads_per_rank(1);
-    let a = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
-    let b = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
+    let a = solve_cfg_on::<SimBackend, _>(&cfg, Algo::Ard, &src, &batches).unwrap();
+    let b = solve_cfg_on::<SimBackend, _>(&cfg, Algo::Ard, &src, &batches).unwrap();
     assert_eq!(a.x[0], b.x[0], "solver must be run-to-run deterministic");
     assert_eq!(a.stats, b.stats, "counters must be deterministic");
 }
@@ -398,8 +401,8 @@ fn threads_per_rank_speeds_model_without_changing_answer_or_counters() {
         .with_model(model)
         .with_threads_per_rank(4);
     // Modeled-time claims are simulator semantics: pin the backend.
-    let out1 = ard_solve_cfg_on::<SimBackend, _>(&cfg1, &src, &batches).unwrap();
-    let out4 = ard_solve_cfg_on::<SimBackend, _>(&cfg4, &src, &batches).unwrap();
+    let out1 = solve_cfg_on::<SimBackend, _>(&cfg1, Algo::Ard, &src, &batches).unwrap();
+    let out4 = solve_cfg_on::<SimBackend, _>(&cfg4, Algo::Ard, &src, &batches).unwrap();
     // Same solution bits and identical exact counters (Table I is
     // thread-count independent)...
     assert_eq!(out1.x[0].to_dense(), out4.x[0].to_dense());
@@ -426,9 +429,12 @@ fn modeled_times_match_analytic_prediction() {
     for (n, m, p, r) in [(512, 16, 8, 8), (1024, 8, 16, 4), (256, 32, 4, 16)] {
         let src = ClusteredToeplitz::standard(n, m, 5);
         let batches = vec![random_rhs(n, m, r, 1); 2];
-        let cfg = DriverConfig::new(p).with_model(model);
+        // The analytic model assumes one thread per rank.
+        let cfg = DriverConfig::new(p)
+            .with_model(model)
+            .with_threads_per_rank(1);
         // Virtual clocks vs the analytic model: simulator-only semantics.
-        let out = ard_solve_cfg_on::<SimBackend, _>(&cfg, &src, &batches).unwrap();
+        let out = solve_cfg_on::<SimBackend, _>(&cfg, Algo::Ard, &src, &batches).unwrap();
         let c = Config { n, m, p, r };
 
         let setup_pred = predicted_setup_seconds(&c, &model);

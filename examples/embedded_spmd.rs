@@ -16,7 +16,7 @@
 //! cargo run --release --example embedded_spmd
 //! ```
 
-use block_tridiag_suite::ard::{ArdRankFactors, RankSystem};
+use block_tridiag_suite::ard::{ArdRankFactors, RankSolver, RankSystem};
 use block_tridiag_suite::blocktri::gen::{rhs_panel, ClusteredToeplitz};
 use block_tridiag_suite::mpsim::{run_spmd, CommBackend, CostModel};
 
@@ -35,11 +35,12 @@ fn main() {
         // checksum and reduce it at the end.
         let mut local_sum = 0.0f64;
         for batch in 0..nbatches {
-            let y_local: Vec<_> = (sys.lo..sys.hi)
+            let mut panels: Vec<_> = (sys.lo..sys.hi)
                 .map(|i| rhs_panel(m, r, 1000 + batch, i))
                 .collect();
-            let x_local = factors.solve_replay(comm, y_local);
-            local_sum += x_local
+            // Solved in place: the right-hand sides become the solution.
+            factors.solve(comm, &mut panels, None);
+            local_sum += panels
                 .iter()
                 .map(|panel| panel.as_slice().iter().sum::<f64>())
                 .sum::<f64>();

@@ -2,7 +2,7 @@
 //! every generator, cross-checked against the dense LU reference.
 
 use block_tridiag_suite::ard::driver::{
-    ard_solve_cfg, ard_solve_cfg_on, ard_solve_dist, rd_solve_dist, DriverConfig,
+    ard_solve_cfg, ard_solve_dist, rd_solve_dist, solve_cfg_on, Algo, DriverConfig,
 };
 use block_tridiag_suite::ard::BoundaryMode;
 use block_tridiag_suite::blocktri::cyclic_reduction::cyclic_reduction_solve;
@@ -129,11 +129,11 @@ fn modeled_time_decreases_with_ranks_until_latency_bound() {
     let cfg16 = DriverConfig::new(16)
         .with_model(model)
         .with_threads_per_rank(1);
-    let t2 = ard_solve_cfg_on::<SimBackend, _>(&cfg2, &src, &y)
+    let t2 = solve_cfg_on::<SimBackend, _>(&cfg2, Algo::Ard, &src, &y)
         .unwrap()
         .timings
         .total_modeled();
-    let t16 = ard_solve_cfg_on::<SimBackend, _>(&cfg16, &src, &y)
+    let t16 = solve_cfg_on::<SimBackend, _>(&cfg16, Algo::Ard, &src, &y)
         .unwrap()
         .timings
         .total_modeled();

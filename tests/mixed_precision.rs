@@ -10,7 +10,7 @@
 use block_tridiag_suite::ard::session::{ArdSession, ArdSessionOn};
 use block_tridiag_suite::ard::state::RankSystem;
 use block_tridiag_suite::ard::{
-    MatrixKey, MixedRankFactors, Precision, ServiceConfig, ServiceOn, SolverService,
+    MatrixKey, MixedRankFactors, Precision, RankSolver, ServiceConfig, ServiceOn, SolverService,
 };
 use block_tridiag_suite::blocktri::gen::{materialize, random_rhs, ClusteredToeplitz, Poisson2D};
 use block_tridiag_suite::mpsim::{run_spmd, CostModel};

@@ -2,8 +2,9 @@
 //!
 //! The software pipeline (DESIGN.md §6.9) reorders *communication* —
 //! panels travel in column tiles behind nonblocking receives — but must
-//! never reorder *arithmetic*: `solve_replay_into_tiled` is required to
-//! be bitwise identical to `solve_replay_into` for every tile size,
+//! never reorder *arithmetic*: `RankSolver::solve` at an explicit tile
+//! is required to be bitwise identical to `solve_replay_into` (the cost
+//! model's tile) for every tile size,
 //! including degenerate ones (`tile = 1`, `tile > R`, `R % tile != 0`).
 //! `Mat` equality is element-exact, so `assert_eq!` pins that.
 //!
@@ -11,6 +12,7 @@
 //! deadlock-freedom: both ranks post their sends before either waits.
 
 use block_tridiag_suite::ard::state::{ArdRankFactors, RankSystem};
+use block_tridiag_suite::ard::RankSolver;
 use block_tridiag_suite::blocktri::gen::{rhs_panel, ClusteredToeplitz};
 use block_tridiag_suite::blocktri::BlockRowSource;
 use block_tridiag_suite::dense::Mat;
@@ -27,12 +29,18 @@ fn solve_tiled(src: &ClusteredToeplitz, p: usize, r: usize, tile: Option<usize>)
         let sys = RankSystem::from_source(src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
         let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 7, i)).collect();
-        let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
         match tile {
-            Some(t) => factors.solve_replay_into_tiled(comm, &y, &mut x, t),
-            None => factors.solve_replay_into(comm, &y, &mut x),
+            Some(t) => {
+                let mut x = y;
+                factors.solve(comm, &mut x, Some(t));
+                x
+            }
+            None => {
+                let mut x: Vec<Mat> = y.iter().map(|p| Mat::zeros(p.rows(), p.cols())).collect();
+                factors.solve_replay_into(comm, &y, &mut x);
+                x
+            }
         }
-        x
     });
     out.results
 }

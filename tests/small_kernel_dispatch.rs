@@ -7,6 +7,7 @@
 //! this binary holds only this one test.
 
 use block_tridiag_suite::ard::state::{ArdRankFactors, RankSystem};
+use block_tridiag_suite::ard::RankSolver;
 use block_tridiag_suite::blocktri::gen::{rhs_panel, ClusteredToeplitz};
 use block_tridiag_suite::comm::CommBackend;
 use block_tridiag_suite::dense::Mat;
@@ -29,12 +30,14 @@ fn warm_m16_r64_replay_issues_no_packed_gemm() {
         let sys = RankSystem::from_source(&src, p, comm.rank());
         let factors = ArdRankFactors::setup(comm, &sys, true).expect("setup");
         let y: Vec<Mat> = (sys.lo..sys.hi).map(|i| rhs_panel(m, r, 0, i)).collect();
-        let warm = factors.solve_replay(comm, y.clone());
+        let mut warm = y.clone();
+        factors.solve(comm, &mut warm, None);
         // Rank 0 brackets both ranks' warm solves between barriers.
         comm.barrier();
         let before = (comm.rank() == 0).then(bt_obs::counters_snapshot);
         comm.barrier();
-        let x = factors.solve_replay(comm, y);
+        let mut x = y;
+        factors.solve(comm, &mut x, None);
         comm.barrier();
         let diff = before.map(|b| bt_obs::counters_diff(&b));
         (diff, x == warm)

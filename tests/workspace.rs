@@ -7,10 +7,11 @@
 //! counter delta — any new allocation on the warm path fails these
 //! tests. The refactor from owned temporaries to pooled buffers must
 //! also be *exact*: warm in-place solves are compared bitwise (`Mat`
-//! equality is element-exact) against the allocating wrappers, which
-//! reproduce the pre-workspace call pattern.
+//! equality is element-exact) against in-place solves of fresh
+//! copies, which reproduce the pre-workspace call pattern.
 
 use block_tridiag_suite::ard::state::{ArdRankFactors, RankSystem};
+use block_tridiag_suite::ard::RankSolver;
 use block_tridiag_suite::blocktri::gen::{rhs_panel, ClusteredToeplitz, Poisson2D};
 use block_tridiag_suite::blocktri::BlockRowSource;
 use block_tridiag_suite::dense::{CholFactors, LuFactors, Mat, Workspace};
@@ -25,8 +26,8 @@ const ZERO: CostModel = CostModel {
 
 /// Core regression: after one warm-up batch, further replay solves
 /// check nothing new out of the rank workspace (zero heap allocations
-/// from pooled temporaries), and the in-place path is bitwise identical
-/// to the allocating wrapper.
+/// from pooled temporaries), and the copying path is bitwise identical
+/// to in-place solves of fresh copies.
 fn warm_replay_zero_checkouts(src: &(impl BlockRowSource + Sync), p: usize, r: usize) {
     let n = src.n();
     let m = src.m();
@@ -37,12 +38,14 @@ fn warm_replay_zero_checkouts(src: &(impl BlockRowSource + Sync), p: usize, r: u
         let batch =
             |b: u64| -> Vec<Mat> { (sys.lo..sys.hi).map(|i| rhs_panel(m, r, b, i)).collect() };
 
-        // Reference solutions via the allocating wrapper (the
-        // pre-workspace call pattern: fresh output panels every call).
+        // Reference solutions via the in-place solve of fresh copies
+        // (the pre-workspace call pattern: fresh panels every call).
         let y0 = batch(0);
         let y1 = batch(1);
-        let x0_ref = factors.solve_replay(comm, y0.clone());
-        let x1_ref = factors.solve_replay(comm, y1.clone());
+        let mut x0_ref = y0.clone();
+        factors.solve(comm, &mut x0_ref, None);
+        let mut x1_ref = y1.clone();
+        factors.solve(comm, &mut x1_ref, None);
 
         // Warm-up done (two batches through every branch of the path).
         let warm = factors.workspace_stats();
@@ -104,7 +107,7 @@ fn warm_replay_is_allocation_free_single_rank_and_wide_batch() {
 }
 
 /// Service-style batching: replay widths alternate between a wide and
-/// a narrow batch, by value and into caller panels. After one warm
+/// a narrow batch, in place and into caller panels. After one warm
 /// cycle every further solve reuses the pool and the footprint stays
 /// flat. The diagonal step's scratch panel leaves the pool in the
 /// solution, so it must be an exact-size buffer: a best-fit pick would
@@ -122,7 +125,8 @@ fn warm_replay_alternating_widths_is_allocation_free() {
         };
         let mut cycle = |b: u64| {
             for r in [16, 3] {
-                let x = factors.solve_replay(comm, batch(r, b));
+                let mut x = batch(r, b);
+                factors.solve(comm, &mut x, None);
                 let mut out: Vec<Mat> = x.iter().map(|_| Mat::zeros(m, r)).collect();
                 factors.solve_replay_into(comm, &batch(r, b + 1), &mut out);
             }
